@@ -278,7 +278,6 @@ def build_template(params: BatteryParams) -> StageTemplate:
         cost_builder=cost_builder,
         rhs_builder=rhs_builder,
         matrix_builder=matrix_builder,
-        structure_key=lambda d: d.structure_key,
         var_map=var_map,
         row_tags=row_tags,
         col_tags=col_tags,

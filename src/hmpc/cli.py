@@ -38,6 +38,7 @@ from hmpc.battery import (
 from hmpc.controller import run_simulation
 from hmpc.cuts import EmptyCuts, EmptyStore, MasterInfeasible
 from hmpc.kv import read_kv, write_kv
+from hmpc.lp import LPError
 from hmpc.oracle import (
     OracleCapExceeded,
     reference_cost,
@@ -71,6 +72,7 @@ USER_ERRORS = (
     EmptyStore,
     EmptyCuts,
     MasterInfeasible,
+    LPError,
 )
 
 RUN_KEYS = {

@@ -32,8 +32,19 @@ from hmpc.cuts import (
     solve_master,
 )
 from hmpc.oracle import reference_cost
-from hmpc.scenarios import ForecastModel, PeriodRealization, ScenarioPool, sample_period, stream
-from hmpc.stage import StageResult, StageSolveCache, StageTemplate, Targets
+from hmpc.scenarios import (
+    ForecastModel,
+    PeriodRealization,
+    ScenarioPool,
+    collapse,
+    sample_period,
+    stream,
+)
+from hmpc.stage import StageSolveCache, StageTemplate
+
+
+class NegativeStageCost(ValueError):
+    """A stage cost fell below zero, where cut rescaling is no longer valid."""
 
 
 @dataclass
@@ -81,8 +92,6 @@ class HierarchyState:
             self.store = VertexStore(n_rows=self.template.n_rows)
         if self.cache is None:
             self.cache = StageSolveCache(self.template)
-        self._class_counts: dict = {}
-        self._class_reps: dict = {}
 
     @property
     def master(self) -> MasterProblem:
@@ -113,9 +122,8 @@ def running_cost(state: HierarchyState, w: np.ndarray) -> float:
     if m == 0:
         raise ValueError("no completed periods yet")
     total = 0.0
-    for key, count in state._class_counts.items():
-        res = state.cache.solve(w, state._class_reps[key])
-        total += count * res.cost_h
+    for d, count in zip(*collapse(state.history)):
+        total += count * state.cache.solve(w, d).cost_h
     return float(state.design_cost @ w) + total / m
 
 
@@ -129,15 +137,19 @@ def step_period(
 
     ``audit=False`` skips the O(m) running-cost evaluation (the cut and
     target updates always happen).  Passing the generating pool adds the
-    exact overall gap to audited rows.
+    exact overall gap to audited rows.  A negative stage cost raises
+    NegativeStageCost before the state changes.
     """
     m = state.period_m
     w_m = state.targets_w
     res = state.cache.solve(w_m, realized)
+    if res.cost_h < -1e-7 * (1 + abs(res.cost_h)):
+        raise NegativeStageCost(
+            f"period {m}: stage cost {res.cost_h:.6g} is negative, so the cuts would "
+            "not bound the running cost; raise cost_offset in the battery parameters"
+        )
     state.store.insert(res.dual_vertex, realized.key)
     state.history.append(realized)
-    state._class_counts[realized.key] = state._class_counts.get(realized.key, 0) + 1
-    state._class_reps.setdefault(realized.key, realized)
 
     if state.cuts:
         state.cuts = rescale_cuts(state.cuts, m)
@@ -172,21 +184,6 @@ def step_period(
     return state, record
 
 
-def overall_gap(state: HierarchyState, ref_cost: float) -> float:
-    """(phi(w) - envelope(w)) / phi(w) at the state's current targets."""
-    lb = lower_bound_at(state.master, state.targets_w)
-    return (ref_cost - lb) / ref_cost if ref_cost != 0 else 0.0
-
-
-def intra_period_mpc(
-    template: StageTemplate, w_next: Targets | np.ndarray, forecast: PeriodRealization
-) -> StageResult:
-    """Plan the next period's hours against the forecast at fixed targets."""
-    from hmpc.stage import solve_stage
-
-    return solve_stage(template, w_next, forecast)
-
-
 def default_audit_stride(m: int, full_until: int = 100, stride: int = 5) -> bool:
     """Audit every period early on, then every ``stride``-th period."""
     return m <= full_until or m % stride == 0
@@ -197,11 +194,6 @@ class SimulationResult:
     records: list
     state: HierarchyState
     planned: list  # (period, targets, StageResult) for the lead-in periods
-    realizations: list
-
-    @property
-    def targets_trace(self) -> np.ndarray:
-        return np.array([r.targets for r in self.records])
 
 
 def run_simulation(
@@ -224,10 +216,9 @@ def run_simulation(
     state = initial_state(template, design_cost, target_box, w1=w1)
     data_rng = stream(seed)
     model = ForecastModel(noise_sigma=forecast_sigma, seed=seed + 1)
-    records, planned, realized_seq = [], [], []
+    records, planned = [], []
     for m in range(1, periods + 1):
         truth = sample_period(pool, data_rng)
-        realized_seq.append(truth)
         if m <= keep_planned:
             mpc = state.cache.solve(state.targets_w, model.make_forecast(truth))
             planned.append((m, state.targets_w.copy(), mpc))
@@ -238,6 +229,4 @@ def run_simulation(
             state, truth, audit=audit, pool=pool if track_overall_gap else None
         )
         records.append(record)
-    return SimulationResult(
-        records=records, state=state, planned=planned, realizations=realized_seq
-    )
+    return SimulationResult(records=records, state=state, planned=planned)

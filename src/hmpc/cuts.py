@@ -8,18 +8,19 @@ valid (if looser) lower bound on the running sample average
 
     phi_m(w) = c_w'w + (1/m) sum_xi h(w, d_xi)
 
-provided stage costs are nonnegative (see battery.suggested_cost_offset).
-The master problem minimizes the cut envelope over the target box and
-hands the argmin to the next period.
+provided stage costs are nonnegative (see battery.suggested_cost_offset;
+controller.step_period refuses a negative one).  The master problem
+minimizes the cut envelope over the target box and hands the argmin to
+the next period.
 
 A stored vertex pi certifies pi'(r - Tw) <= h(w, d) only where pi is
 dual feasible, i.e. W(d)' pi <= c(d).  With random prices (and random
 regulation fractions in the constraint matrix) that is scenario
-dependent, so the store tracks, per vertex, which realization classes it
-is known feasible for, and the per-scenario argmax in generate_cut only
-looks at certified vertices.  A vertex is always certified for the
-realization it was solved under; other classes are checked once and
-cached.
+dependent, so the store keeps one verdict vector per realization class,
+one entry per vertex: certified, refused, or not checked yet.  The
+per-class argmax in generate_cut only looks at certified vertices.  A
+vertex is always certified for the class it was solved under; other
+classes check it once, the first time they ask.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from hmpc.lp import GeneralLP, LPStatus, solve_general
+from hmpc.scenarios import collapse
 from hmpc.stage import StageTemplate, Targets
+
+# Vertices closer than this in max norm are stored once.
+_DEDUP_TOL = 1e-9
+# Relative slack of the dual feasibility check W(d)'pi <= c(d).
+_FEAS_TOL = 1e-9
 
 
 class EmptyStore(Exception):
@@ -66,71 +73,65 @@ class Cut:
 
 
 class VertexStore:
-    """Grow-only store of dual vertices with per-scenario certificates."""
+    """Grow-only store of dual vertices with per-class certificates.
 
-    def __init__(self, n_rows: int, dedup_tol: float = 1e-9, feas_tol: float = 1e-9):
+    ``_verdicts[key][i]`` is 1 if vertex i is certified for class ``key``,
+    -1 if refused and 0 if not checked yet; a vector shorter than the
+    store reads 0 past its end.
+    """
+
+    def __init__(self, n_rows: int):
         self.n_rows = n_rows
-        self.dedup_tol = dedup_tol
-        self.feas_tol = feas_tol
-        self._rows: list[np.ndarray] = []
-        self._certified: list[set] = []
+        self._V = np.zeros((0, n_rows))
+        self._verdicts: dict = {}
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._V.shape[0]
 
     def as_matrix(self) -> np.ndarray:
-        if not self._rows:
-            return np.zeros((0, self.n_rows))
-        return np.vstack(self._rows)
+        return self._V
+
+    def _verdict(self, key) -> np.ndarray:
+        old = self._verdicts.get(key, np.zeros(0, dtype=np.int8))
+        if old.size < len(self):
+            old = np.concatenate([old, np.zeros(len(self) - old.size, dtype=np.int8)])
+            self._verdicts[key] = old
+        return old
 
     def insert(self, pi: np.ndarray, class_key) -> int:
         """Add a vertex certified for ``class_key``; dedups near-equals.
 
-        Returns the store index.  A duplicate within ``dedup_tol`` (max
+        Returns the store index.  A duplicate within ``_DEDUP_TOL`` (max
         norm) is not re-added, but inherits the new certificate.
         """
         pi = np.asarray(pi, dtype=float)
         if pi.size != self.n_rows:
             raise ValueError(f"vertex has {pi.size} rows, store wants {self.n_rows}")
-        for i, old in enumerate(self._rows):
-            if np.max(np.abs(old - pi)) <= self.dedup_tol:
-                self._certified[i].add(class_key)
-                return i
-        row = pi.copy()
-        row.setflags(write=False)
-        self._rows.append(row)
-        self._certified.append({class_key})
-        return len(self._rows) - 1
+        hits = np.flatnonzero(np.abs(self._V - pi).max(axis=1) <= _DEDUP_TOL)
+        if hits.size:
+            i = int(hits[0])
+        else:
+            i = len(self)
+            self._V = np.vstack([self._V, pi])
+            self._V.setflags(write=False)
+        self._verdict(class_key)[i] = 1
+        return i
 
     def certified_mask(self, d, template: StageTemplate) -> np.ndarray:
-        """Which vertices may price realization d's scenario class.
+        """Which vertices may price realization d's class.
 
-        Uncached vertices are checked against W(d)'pi <= c(d) with a
-        per-column tolerance and the verdict memoized on the class key.
+        Unchecked vertices are tested against W(d)'pi <= c(d) with a
+        per-column tolerance, and the verdicts kept for the class.
         """
-        k = len(self._rows)
-        mask = np.zeros(k, dtype=bool)
-        unknown = []
-        for i, certs in enumerate(self._certified):
-            if d.key in certs:
-                mask[i] = True
-            elif ("not", d.key) in certs:
-                mask[i] = False
-            else:
-                unknown.append(i)
-        if unknown:
+        verdict = self._verdict(d.key)
+        unknown = np.flatnonzero(verdict == 0)
+        if unknown.size:
             W = template.matrix_builder(d)
             c = template.cost_builder(d)
-            tol = self.feas_tol * (1.0 + np.abs(c))
-            V = np.vstack([self._rows[i] for i in unknown])
-            ok = ((V @ W) <= c + tol).all(axis=1)
-            for i, good in zip(unknown, ok):
-                if good:
-                    self._certified[i].add(d.key)
-                    mask[i] = True
-                else:
-                    self._certified[i].add(("not", d.key))
-        return mask
+            tol = _FEAS_TOL * (1.0 + np.abs(c))
+            ok = ((self._V[unknown] @ W) <= c + tol).all(axis=1)
+            verdict[unknown] = np.where(ok, 1, -1)
+        return verdict == 1
 
 
 def generate_cut(
@@ -150,27 +151,21 @@ def generate_cut(
         raise EmptyStore("no dual vertices stored yet")
     if not history:
         raise ValueError("history is empty")
-    w_vec = w.encode() if isinstance(w, Targets) else np.asarray(w, dtype=float)
+    w_vec = np.asarray(w, dtype=float)
     m = len(history)
-    counts: dict = {}
-    rep: dict = {}
-    for d in history:
-        counts[d.key] = counts.get(d.key, 0) + 1
-        rep[d.key] = d
-
     V = store.as_matrix()
     T = template.coupling_T
     alpha = 0.0
     beta = np.zeros(template.n_w)
-    for key, d in rep.items():
+    for d, count in zip(*collapse(history)):
         r = template.rhs_builder(d)
         vals = V @ (r - T @ w_vec)
         mask = store.certified_mask(d, template)
         if not mask.any():
-            raise EmptyStore(f"no certified vertex for realization class {key}")
+            raise EmptyStore(f"no certified vertex for realization class {d.key}")
         vals = np.where(mask, vals, -np.inf)
         pi = V[int(np.argmax(vals))]
-        weight = counts[key] / m
+        weight = count / m
         alpha += weight * float(pi @ r)
         beta -= weight * (T.T @ pi)
     return Cut(alpha=alpha, beta=beta, birth_period=m)
@@ -192,7 +187,7 @@ def scenario_value_bound(
     store: VertexStore, template: StageTemplate, d, w: Targets | np.ndarray
 ) -> float:
     """Best stored underestimate of h(w, d); -inf with no certificate."""
-    w_vec = w.encode() if isinstance(w, Targets) else np.asarray(w, dtype=float)
+    w_vec = np.asarray(w, dtype=float)
     if len(store) == 0:
         return -np.inf
     mask = store.certified_mask(d, template)
@@ -229,7 +224,7 @@ def lower_bound_at(master: MasterProblem, w: Targets | np.ndarray) -> float:
     """Envelope value max_j alpha_j + (c_w + beta_j)'w."""
     if not master.cuts:
         raise EmptyCuts("no cuts to evaluate")
-    w_vec = w.encode() if isinstance(w, Targets) else np.asarray(w, dtype=float)
+    w_vec = np.asarray(w, dtype=float)
     return max(c.value_at(w_vec, master.design_cost) for c in master.cuts)
 
 
@@ -278,30 +273,3 @@ def solve_master(master: MasterProblem) -> tuple[np.ndarray, float]:
     point = vmap.original_primal(sol.primal)
     w_next = point[:n_w].copy()
     return w_next, float(point[n_w])
-
-
-def prune_dominated(master: MasterProblem) -> list:
-    """Drop cuts beaten by a single sibling on every box corner.
-
-    Correct for keeping the envelope's max intact on the corners (and,
-    since cuts are affine, everywhere in the box when one cut dominates
-    another pointwise); meant for hygiene, the algorithm never needs it.
-    """
-    lo, hi = master.target_box[:, 0], master.target_box[:, 1]
-    n_w = lo.size
-    corners = np.array(
-        [[hi[i] if (k >> i) & 1 else lo[i] for i in range(n_w)] for k in range(2**n_w)]
-    )
-    vals = np.array(
-        [[c.value_at(corner, master.design_cost) for corner in corners] for c in master.cuts]
-    )
-    keep = []
-    for j in range(len(master.cuts)):
-        beaten = False
-        for k in range(len(master.cuts)):
-            if k != j and (vals[k] >= vals[j] + 1e-12).all():
-                beaten = True
-                break
-        if not beaten:
-            keep.append(master.cuts[j])
-    return keep

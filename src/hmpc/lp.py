@@ -28,11 +28,12 @@ of the same data return bit-identical answers.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 
 class LPStatus(Enum):
@@ -131,8 +132,11 @@ class _Factor:
 
     def refactor(self):
         try:
-            self.lu = lu_factor(self.A[:, self.basis])
-        except Exception as exc:  # LinAlgError from a singular basis
+            # A singular basis only warns (an exactly zero pivot of U).
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", LinAlgWarning)
+                self.lu = lu_factor(self.A[:, self.basis])
+        except (LinAlgWarning, ValueError) as exc:  # ValueError: inf or NaN entries
             raise NumericalBreakdown(f"basis factorization failed: {exc}") from exc
         self.etas.clear()
 
@@ -156,6 +160,10 @@ class _Factor:
         self.etas.append((r, u.copy()))
 
 
+# Phase-1 residual, relative to the largest |rhs|, still counted feasible.
+_FEAS_TOL = 1e-7
+# Reduced costs above -_OPT_TOL * (1 + |c|) count as nonnegative.
+_OPT_TOL = 1e-9
 # Pivot element magnitudes below this are treated as zero in ratio tests.
 _PIVOT_TOL = 1e-9
 # Steps below this count as degenerate for the Bland fallback trigger.
@@ -164,13 +172,13 @@ _REFACTOR_EVERY = 60
 _BLAND_AFTER = 50
 
 
-def _run_simplex(A, b, c, basis, feas_tol, opt_tol, max_iter, start_iter=0):
+def _run_simplex(A, b, c, basis, max_iter, start_iter=0):
     """Phase core: iterate from a basic feasible `basis` until optimal or
     unbounded. Returns (status, factor, x_basic, iterations)."""
     m, n = A.shape
     fact = _Factor(A, basis)
     x_b = fact.ftran(b)
-    tol_vec = opt_tol * (1.0 + np.abs(c))
+    tol_vec = _OPT_TOL * (1.0 + np.abs(c))
     bland = False
     degen_run = 0
     it = start_iter
@@ -252,12 +260,7 @@ def _crash_basis(A, b, n):
     return np.ascontiguousarray(A_aug), c1, basis, art_rows
 
 
-def solve_lp(
-    lp: StandardLP,
-    feas_tol: float = 1e-7,
-    opt_tol: float = 1e-9,
-    max_iter: int | None = None,
-) -> LPSolution:
+def solve_lp(lp: StandardLP) -> LPSolution:
     """Solve a StandardLP.
 
     Returns an LPSolution whose ``status`` is OPTIMAL, INFEASIBLE or
@@ -271,12 +274,11 @@ def solve_lp(
     A = lp.eq_matrix.copy()
     b = lp.eq_rhs.copy()
     m, n = A.shape
-    if max_iter is None:
-        max_iter = 2000 + 40 * (m + n)
+    max_iter = 2000 + 40 * (m + n)
 
     if m == 0:
         # No constraints: optimum 0 at y = 0 unless some cost is negative.
-        if (c_orig < -opt_tol * (1 + np.abs(c_orig))).any():
+        if (c_orig < -_OPT_TOL * (1 + np.abs(c_orig))).any():
             return LPSolution(LPStatus.UNBOUNDED)
         return LPSolution(
             LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(0), 0, (), np.zeros(0, int)
@@ -291,14 +293,12 @@ def solve_lp(
     iterations = 0
     drop_rows: list[int] = []
     if (basis >= n).any():
-        status, fact, x_b, iterations = _run_simplex(
-            A1, b, c1, basis, feas_tol, opt_tol, max_iter
-        )
+        status, fact, x_b, iterations = _run_simplex(A1, b, c1, basis, max_iter)
         if status is not LPStatus.OPTIMAL:
             raise NumericalBreakdown("phase 1 terminated unbounded")
         art_pos = np.flatnonzero(basis >= n)
         art_sum = float(x_b[art_pos].sum()) if art_pos.size else 0.0
-        if art_sum > feas_tol * (1.0 + float(np.abs(b).max(initial=0.0))):
+        if art_sum > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
             return LPSolution(LPStatus.INFEASIBLE, iterations=iterations)
 
         # Pivot residual zero-level artificials out; a position whose
@@ -333,7 +333,7 @@ def solve_lp(
             raise NumericalBreakdown("row drop left an inconsistent basis")
         basis = np.array(new_basis, dtype=int)
         if A.shape[0] == 0:
-            if (c_orig < -opt_tol * (1 + np.abs(c_orig))).any():
+            if (c_orig < -_OPT_TOL * (1 + np.abs(c_orig))).any():
                 return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
             return LPSolution(
                 LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(m), iterations,
@@ -341,7 +341,7 @@ def solve_lp(
             )
 
     status, fact, x_b, iterations = _run_simplex(
-        A, b, c_orig, basis, feas_tol, opt_tol, max_iter, start_iter=iterations
+        A, b, c_orig, basis, max_iter, start_iter=iterations
     )
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
@@ -438,13 +438,6 @@ class VarMap:
     def original_objective(self, std_objective: float) -> float:
         return std_objective + self.objective_offset
 
-    def bound_row_of(self, var: int) -> int:
-        """Canonical row index of a variable's upper-bound row."""
-        hits = np.flatnonzero(self.bound_cols == var)
-        if hits.size == 0:
-            raise KeyError(f"variable {var} has no finite upper bound")
-        return self.n_eq + self.n_ub + int(hits[0])
-
 
 def canonicalize(gen: GeneralLP) -> tuple[StandardLP, VarMap]:
     """Convert a GeneralLP into the nonnegative equality standard form.
@@ -492,10 +485,10 @@ def canonicalize(gen: GeneralLP) -> tuple[StandardLP, VarMap]:
     return std, vmap
 
 
-def solve_general(gen: GeneralLP, **kwargs) -> tuple[LPSolution, VarMap]:
+def solve_general(gen: GeneralLP) -> tuple[LPSolution, VarMap]:
     """Canonicalize then solve; objective/primal kept in canonical terms.
 
     Use ``vmap.original_primal`` / ``vmap.original_objective`` to map back.
     """
     std, vmap = canonicalize(gen)
-    return solve_lp(std, **kwargs), vmap
+    return solve_lp(std), vmap

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from hmpc.lp import GeneralLP, LPStatus, solve_general
-from hmpc.scenarios import ScenarioPool
+from hmpc.scenarios import ScenarioPool, collapse
 from hmpc.stage import StageSolveCache, StageTemplate, Targets, solve_stage
 
 DEFAULT_CAP = 40
@@ -32,17 +32,6 @@ DEFAULT_CAP = 40
 
 class OracleCapExceeded(Exception):
     """The requested extensive form is larger than the configured cap."""
-
-
-def _collapse(history) -> tuple[list, np.ndarray]:
-    reps: dict = {}
-    counts: dict = {}
-    for d in history:
-        reps.setdefault(d.key, d)
-        counts[d.key] = counts.get(d.key, 0) + 1
-    keys = list(reps)
-    weights = np.array([counts[k] for k in keys], dtype=float)
-    return [reps[k] for k in keys], weights / weights.sum()
 
 
 def _weighted_saa(
@@ -98,7 +87,8 @@ def solve_saa(
     """Exact minimizer and value of the running sample average phi_m."""
     if not history:
         raise ValueError("history is empty")
-    reps, weights = _collapse(history)
+    reps, counts = collapse(history)
+    weights = np.array(counts, dtype=float) / len(history)
     return _weighted_saa(template, reps, weights, np.asarray(box, float), design_cost, cap)
 
 
@@ -205,7 +195,7 @@ def reference_cost(
     Finite support makes the expectation a weighted sum of K stage
     solves; pass a StageSolveCache to amortize repeated targets.
     """
-    w_vec = w.encode() if isinstance(w, Targets) else np.asarray(w, dtype=float)
+    w_vec = np.asarray(w, dtype=float)
     total = float(np.asarray(design_cost) @ w_vec)
     for d, wt in zip(pool.support, pool.weights):
         res = cache.solve(w_vec, d) if cache is not None else solve_stage(template, w_vec, d)

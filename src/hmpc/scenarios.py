@@ -165,8 +165,15 @@ class ForecastModel:
         )
 
 
-def make_forecast(model: ForecastModel, truth: PeriodRealization) -> PeriodRealization:
-    return model.make_forecast(truth)
+def collapse(days) -> tuple[list, list]:
+    """Distinct realization classes in first-seen order, with their counts.
+
+    Days with equal ``key`` are one class; the first such day stands for it.
+    """
+    seen: dict = {}
+    for d in days:
+        seen.setdefault(d.key, [d, 0])[1] += 1
+    return [d for d, _ in seen.values()], [n for _, n in seen.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ at, and the peak bound the period is charged against.  In canonical form
 where d is the period's data realization.  The coupling matrix T is fixed;
 prices enter the cost vector, loads enter the rhs.  The recourse matrix W
 is fixed too unless the realization's regulation-request fractions vary,
-in which case only the rows containing those fractions change (the
-template reports this via ``structure_key``).
+in which case only the rows containing those fractions change.
 
 ``solve_stage`` returns the optimal cost together with the dual vector of
 the canonical rows, which is a vertex of the dual feasible set
@@ -50,6 +49,10 @@ class Targets:
         """Fixed target ordering: state components first, then eta."""
         return np.concatenate([self.x0, [self.eta]])
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """``np.asarray(targets)`` is ``targets.encode()``."""
+        return self.encode().astype(dtype, copy=False)
+
     @classmethod
     def decode(cls, w: np.ndarray) -> "Targets":
         w = np.asarray(w, dtype=float)
@@ -65,10 +68,8 @@ class StageTemplate:
     """Immutable recipe for building one period's canonical LP.
 
     ``cost_builder`` / ``rhs_builder`` / ``matrix_builder`` map a
-    realization to c(d), r(d), W(d).  ``structure_key`` maps a realization
-    to a hashable token identifying W(d); realizations with equal tokens
-    share the recourse matrix.  ``coupling_T`` has one column per target
-    component and one row per canonical row.  ``row_tags`` holds named
+    realization to c(d), r(d), W(d).  ``coupling_T`` has one column per
+    target component and one row per canonical row.  ``row_tags`` holds named
     canonical row index arrays (boundary rows, peak rows, ...) and
     ``col_tags`` named canonical column index arrays, both in model terms.
     """
@@ -80,7 +81,6 @@ class StageTemplate:
     cost_builder: Callable
     rhs_builder: Callable
     matrix_builder: Callable
-    structure_key: Callable
     var_map: VarMap
     row_tags: dict
     col_tags: dict
@@ -116,7 +116,7 @@ class StageResult:
 
 def build_stage(template: StageTemplate, w: Targets | np.ndarray, d) -> StandardLP:
     """Assemble the canonical stage LP for targets w and realization d."""
-    w_vec = w.encode() if isinstance(w, Targets) else np.asarray(w, dtype=float)
+    w_vec = np.asarray(w, dtype=float)
     if w_vec.size != template.n_w:
         raise ValueError(f"expected {template.n_w} target components, got {w_vec.size}")
     rhs = template.rhs_builder(d) - template.coupling_T @ w_vec
@@ -172,7 +172,7 @@ class StageSolveCache:
         self._store: dict = {}
 
     def solve(self, w: Targets | np.ndarray, d) -> StageResult:
-        w_vec = w.encode() if isinstance(w, Targets) else np.asarray(w, dtype=float)
+        w_vec = np.asarray(w, dtype=float)
         key = (d.key, w_vec.tobytes())
         found = self._store.get(key)
         if found is not None:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hmpc.cli import main
+from hmpc.kv import read_kv, write_kv
 
 
 @pytest.fixture()
@@ -147,3 +148,32 @@ def test_csv_pool_config_round_trips(workdir, tmp_path):
     out = tmp_path / "csvrun"
     assert main(["run", "--config", str(conf), "--out", str(out)]) == 0
     assert len(read_rows(out / "metrics.csv")) == 3
+
+
+def test_solver_breakdown_exits_one(workdir, tmp_path, monkeypatch, capsys):
+    from hmpc.lp import NumericalBreakdown
+
+    def breakdown(*args, **kwargs):
+        raise NumericalBreakdown("basis factorization failed")
+
+    monkeypatch.setattr("hmpc.cli.solve_saa", breakdown)
+    rc = main(["oracle", "--config", str(workdir / "small.conf"),
+               "--out", str(tmp_path / "x"), "--periods", "3"])
+    assert rc == 1
+    assert "basis factorization failed" in capsys.readouterr().err
+
+
+def test_negative_stage_cost_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data), "--steps", "6",
+                 "--scenarios", "3", "--seed", "42"]) == 0
+    params = read_kv(data / "battery.kv")
+    params["cost_offset"] = "0.0"
+    write_kv(data / "battery.kv", params)
+    (data / "run.conf").write_text(
+        "pool_file = pool.json\nparams_file = battery.kv\nseed = 3\nsigma = 0.1\n"
+    )
+    rc = main(["run", "--config", str(data / "run.conf"), "--out", str(tmp_path / "x"),
+               "--horizon", "30"])
+    assert rc == 1
+    assert "cost_offset" in capsys.readouterr().err

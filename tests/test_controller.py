@@ -8,8 +8,8 @@ from toys import TinyData, toy_template
 
 from hmpc.battery import BatteryParams, build_template, design_cost, target_box, with_offset
 from hmpc.controller import (
+    NegativeStageCost,
     initial_state,
-    intra_period_mpc,
     run_simulation,
     running_cost,
     step_period,
@@ -141,26 +141,16 @@ def test_overall_gap_closes_on_the_arbitrage_fixture():
     assert abs(last.overall_gap_epsbar) < 0.01
 
 
-def test_mpc_plan_matches_stage_solve_under_perfect_forecast():
-    template = toy_template()
-    d = TinyData(cost=(2.0, 1.0, 2.0))
-    w = np.array([1.5, 0.5])
-    plan = intra_period_mpc(template, w, d)
-    assert plan.cost_h == pytest.approx(solve_stage(template, w, d).cost_h, abs=1e-12)
-    free = intra_period_mpc(template, w, TinyData(cost=(0.0, 0.0, 0.0)))
-    assert free.cost_h == pytest.approx(0.0, abs=1e-12)
-
-
 def test_simulation_is_deterministic_in_the_seed():
     params, pool, box, cw = mini_setup()
     template = build_template(params)
     kwargs = dict(periods=12, seed=9, forecast_sigma=0.1, keep_planned=3)
     a = run_simulation(template, cw, box, pool, **kwargs)
     b = run_simulation(template, cw, box, pool, **kwargs)
-    assert np.array_equal(a.targets_trace, b.targets_trace)
+    assert np.array_equal([r.targets for r in a.records], [r.targets for r in b.records])
     assert a.state.realized_cost_accum == b.state.realized_cost_accum
-    assert len(a.planned) == 3 and len(a.realizations) == 12
-    assert [d.key for d in a.realizations] == [d.key for d in b.realizations]
+    assert len(a.planned) == 3 and len(a.state.history) == 12
+    assert [d.key for d in a.state.history] == [d.key for d in b.state.history]
 
 
 def test_audit_stride_skips_running_cost():
@@ -192,7 +182,7 @@ def test_forecast_error_decays_with_sigma():
                 forecast_sigma=sigma, keep_planned=4,
                 audit_full_until=0, audit_stride=10**9, track_overall_gap=False,
             )
-            for (m, w, plan), truth in zip(sim.planned, sim.realizations):
+            for (m, w, plan), truth in zip(sim.planned, sim.state.history):
                 actual = sim.state.cache.solve(w, truth).cost_h
                 errs.append(abs(plan.cost_h - actual))
         return np.mean(errs)
@@ -206,3 +196,12 @@ def test_running_cost_requires_history():
     state = initial_state(template, TOY_CW, TOY_BOX)
     with pytest.raises(ValueError, match="period"):
         running_cost(state, state.targets_w)
+
+
+def test_negative_stage_cost_is_refused_before_it_is_stored():
+    template = toy_template()
+    state = initial_state(template, TOY_CW, TOY_BOX)
+    with pytest.raises(NegativeStageCost, match="period 1.*cost_offset"):
+        step_period(state, TinyData(cost=(-1.0, 1.0, 1.0)))
+    assert len(state.store) == 0 and not state.history and not state.cuts
+    assert state.period_m == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from toys import TinyData, T_TOY, W_TOY, toy_template
 
 from hmpc.cuts import (
@@ -10,7 +11,6 @@ from hmpc.cuts import (
     VertexStore,
     generate_cut,
     lower_bound_at,
-    prune_dominated,
     rescale_cuts,
     scenario_value_bound,
     solve_master,
@@ -126,6 +126,36 @@ def test_store_dedups_and_inherits_certificates():
     assert k == 1 and len(store) == 2
     with pytest.raises(ValueError):
         store.insert(np.array([1.0, 2.0, 3.0]), "a")
+
+
+PROPERTY_CLASSES = [
+    TinyData(cost=(1.0, 3.0, 2.0)),
+    TinyData(cost=(2.0, 0.5, 4.0)),
+    TinyData(cost=(0.5, 2.0, 1.0)),
+    TinyData(cost=(10.0, 10.0, 10.0)),
+]
+PROPERTY_TARGETS = [Targets(x0=[x0], eta=eta) for x0 in (0.0, 1.5, 4.0) for eta in (0.0, 2.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 5)), max_size=14))
+def test_certified_mask_matches_a_fresh_check(ops):
+    """Cached verdicts agree with checking every vertex from scratch, and a
+    vertex stays certified for each class it was inserted under."""
+    tpl = toy_template()
+    store = VertexStore(n_rows=tpl.n_rows)
+    inserted = set()  # (store index, class index)
+    for is_insert, k, t in ops:
+        d = PROPERTY_CLASSES[k]
+        if is_insert:
+            pi = solve_stage(tpl, PROPERTY_TARGETS[t], d).dual_vertex
+            inserted.add((store.insert(pi, d.key), k))
+            continue
+        mask = store.certified_mask(d, tpl)
+        c = np.asarray(d.cost)
+        fresh = (store.as_matrix() @ W_TOY <= c + 1e-9 * (1 + np.abs(c))).all(axis=1)
+        np.testing.assert_array_equal(mask, fresh)
+        assert all(mask[i] for i, j in inserted if j == k)
 
 
 def test_rescale_single_step():
@@ -249,17 +279,3 @@ def test_scenario_value_bound_tracks_store_growth():
     probe = Targets(x0=[2.5], eta=1.0)
     grown = scenario_value_bound(store, tpl, d, probe)
     assert grown <= solve_stage(tpl, probe, d).cost_h + 1e-9
-
-
-def test_prune_dominated_keeps_envelope():
-    strong = Cut(alpha=2.0, beta=np.array([0.3, -0.2]), birth_period=1)
-    weak = Cut(alpha=-1.0, beta=np.array([0.3, -0.2]), birth_period=2)
-    useful = Cut(alpha=1.0, beta=np.array([-0.6, 0.4]), birth_period=3)
-    master = MasterProblem(cuts=[strong, weak, useful], design_cost=CW, target_box=BOX)
-    kept = prune_dominated(master)
-    assert weak not in kept and strong in kept and useful in kept
-    pruned = MasterProblem(cuts=kept, design_cost=CW, target_box=BOX)
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
-        assert lower_bound_at(pruned, w) == pytest.approx(lower_bound_at(master, w))

@@ -9,8 +9,10 @@ from hmpc.lp import (
     DimensionMismatch,
     GeneralLP,
     LPStatus,
+    NumericalBreakdown,
     StandardLP,
     UnboundedVariable,
+    _Factor,
     canonicalize,
     solve_lp,
 )
@@ -220,7 +222,14 @@ def test_canonical_row_and_column_layout():
     assert std.eq_matrix.shape == (4, 6)
     assert vmap.n_eq == 1 and vmap.n_ub == 1
     np.testing.assert_array_equal(vmap.bound_cols, [1, 2])
-    assert vmap.bound_row_of(2) == 3
     # Equality rhs shifted by the lower bound of x2.
     assert std.eq_rhs[0] == pytest.approx(3.0)
     assert vmap.objective_offset == pytest.approx(-2.0)
+
+
+def test_singular_basis_raises_instead_of_returning_nan():
+    # Columns 0 and 1 are equal, so that basis has an exactly zero pivot.
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+    with pytest.raises(NumericalBreakdown, match="exactly zero"):
+        _Factor(A, np.array([0, 1]))
+    _Factor(A, np.array([0, 2]))

@@ -21,6 +21,7 @@ from hmpc.oracle import (
     solve_pool_saa,
     solve_saa,
 )
+from hmpc.scenarios import collapse
 from hmpc.stage import StageSolveCache, solve_stage
 
 TOY_BOX = np.array([[0.0, 4.0], [0.0, 2.0]])
@@ -55,6 +56,10 @@ def test_duplicated_history_collapses_to_one_block():
     w_many, v_many = solve_saa(template, [d] * 41, TOY_BOX, TOY_CW, cap=40)
     assert v_many == pytest.approx(v_one, abs=1e-9)
     np.testing.assert_allclose(w_many, w_one, atol=1e-9)
+    # classes come out in first-seen order, each standing for equal-key days
+    e = TinyData(cost=(1.0, 1.0, 1.0))
+    classes, counts = collapse([d, e, TinyData(cost=(2.0, 1.0, 2.0)), e, d])
+    assert classes[0] is d and classes[1] is e and counts == [3, 2]
 
 
 def test_distinct_block_cap_is_enforced():

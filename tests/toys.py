@@ -25,10 +25,6 @@ class TinyData:
     def key(self):
         return (self.cost, self.rhs)
 
-    @property
-    def structure_key(self):
-        return "toy"
-
 
 def toy_template(matrix=W_TOY):
     n_rows, n_cols = matrix.shape
@@ -40,7 +36,6 @@ def toy_template(matrix=W_TOY):
         cost_builder=lambda d: np.asarray(d.cost, dtype=float),
         rhs_builder=lambda d: np.asarray(d.rhs, dtype=float),
         matrix_builder=lambda d: matrix,
-        structure_key=lambda d: d.structure_key,
         var_map=VarMap(
             n_orig=n_cols,
             n_eq=n_rows,
