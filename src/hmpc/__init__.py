@@ -9,7 +9,7 @@ cost, and the refreshed targets steer the next period's MPC.
 Modules:
 
 - ``lp``          dense revised-simplex solver and canonicalization
-- ``stage``       stage-problem templates, targets, stage solves
+- ``stage``       stage-problem templates and stage solves
 - ``battery``     battery / frequency-regulation market stage model
 - ``scenarios``   scenario pools, CSV ingest, forecast noise
 - ``cuts``        dual-vertex store, cut generation/rescaling, master LP
@@ -45,7 +45,7 @@ from hmpc.oracle import (
     solve_saa,
 )
 from hmpc.scenarios import ForecastModel, PeriodRealization, ScenarioPool, sample_period
-from hmpc.stage import StageResult, StageTemplate, Targets, build_stage, solve_stage
+from hmpc.stage import StageResult, StageTemplate, build_stage, solve_stage
 
 __all__ = [
     "GeneralLP",
@@ -56,7 +56,6 @@ __all__ = [
     "solve_lp",
     "StageResult",
     "StageTemplate",
-    "Targets",
     "build_stage",
     "solve_stage",
     "BatteryParams",

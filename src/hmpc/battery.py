@@ -116,9 +116,8 @@ class BatteryTrajectory:
 def build_template(params: BatteryParams) -> StageTemplate:
     """Compile params into an immutable stage template.
 
-    Builders are memoized per realization content (cost, rhs) and per
-    regulation-request vector (matrix), so repeated solves over a finite
-    pool assemble each distinct LP once.
+    Each builder call assembles a fresh read-only array from the
+    realization; the template keeps nothing per realization.
     """
     n = params.period_length_n
     ns = n + 1
@@ -213,44 +212,31 @@ def build_template(params: BatteryParams) -> StageTemplate:
     peak_rows = n_eq + off_peak + np.arange(ns)
     coupling_T[peak_rows, 1] = -1.0
 
-    rhs_memo: dict = {}
-    cost_memo: dict = {}
-    mat_memo: dict = {}
-
     def rhs_builder(d: PeriodRealization) -> np.ndarray:
-        got = rhs_memo.get(d.key)
-        if got is None:
-            eq_rhs = eq_const.copy()
-            eq_rhs[n + 3:] = d.load
-            ub_rhs = ub_const.copy()
-            ub_rhs[off_market:off_market + ns] = d.load
-            got = np.concatenate([eq_rhs - eq_shift, ub_rhs - ub_shift, bound_rhs])
-            got.setflags(write=False)
-            rhs_memo[d.key] = got
-        return got
+        eq_rhs = eq_const.copy()
+        eq_rhs[n + 3:] = d.load
+        ub_rhs = ub_const.copy()
+        ub_rhs[off_market:off_market + ns] = d.load
+        out = np.concatenate([eq_rhs - eq_shift, ub_rhs - ub_shift, bound_rhs])
+        out.setflags(write=False)
+        return out
 
     def cost_builder(d: PeriodRealization) -> np.ndarray:
-        got = cost_memo.get(d.key)
-        if got is None:
-            got = np.zeros(n_cols)
-            got[iP] = -d.energy_price
-            got[iF] = d.energy_price * d.fr_request - d.fr_price
-            got[iS] = params.elastic_penalty_M
-            got[i_off] = 1.0
-            got.setflags(write=False)
-            cost_memo[d.key] = got
-        return got
+        out = np.zeros(n_cols)
+        out[iP] = -d.energy_price
+        out[iF] = d.energy_price * d.fr_request - d.fr_price
+        out[iS] = params.elastic_penalty_M
+        out[i_off] = 1.0
+        out.setflags(write=False)
+        return out
 
     def matrix_builder(d: PeriodRealization) -> np.ndarray:
-        got = mat_memo.get(d.structure_key)
-        if got is None:
-            got = std0.eq_matrix.copy()
-            steps = np.arange(n)
-            got[1 + steps, iF[steps]] = -d.fr_request[:n]
-            got[n + 3 + np.arange(ns), iF] = -d.fr_request
-            got.setflags(write=False)
-            mat_memo[d.structure_key] = got
-        return got
+        out = std0.eq_matrix.copy()
+        steps = np.arange(n)
+        out[1 + steps, iF[steps]] = -d.fr_request[:n]
+        out[n + 3 + np.arange(ns), iF] = -d.fr_request
+        out.setflags(write=False)
+        return out
 
     row_tags = {
         "offset": np.array([0]),

@@ -189,7 +189,7 @@ def _run_config(args) -> tuple[Path, dict]:
     unknown = set(cfg) - RUN_KEYS
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if args.horizon is not None:
+    if getattr(args, "horizon", None) is not None:
         cfg["horizon"] = str(args.horizon)
     if args.seed is not None:
         cfg["seed"] = str(args.seed)
@@ -406,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--periods", type=int, default=8)
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--horizon", type=int, help=argparse.SUPPRESS)
     p.add_argument("--cap", type=int, default=40, help="extensive-form block cap")
     p.set_defaults(func=cmd_oracle)
 

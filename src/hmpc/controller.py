@@ -213,6 +213,8 @@ def run_simulation(
     """Closed-loop run: sample, forecast, plan, observe, update."""
     if periods < 1:
         raise ValueError("periods must be at least 1")
+    if audit_stride < 1:
+        raise ValueError("audit_stride must be at least 1")
     state = initial_state(template, design_cost, target_box, w1=w1)
     data_rng = stream(seed)
     model = ForecastModel(noise_sigma=forecast_sigma, seed=seed + 1)

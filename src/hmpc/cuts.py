@@ -31,7 +31,7 @@ import numpy as np
 
 from hmpc.lp import GeneralLP, LPStatus, solve_general
 from hmpc.scenarios import collapse
-from hmpc.stage import StageTemplate, Targets
+from hmpc.stage import StageTemplate
 
 # Vertices closer than this in max norm are stored once.
 _DEDUP_TOL = 1e-9
@@ -137,7 +137,7 @@ class VertexStore:
 def generate_cut(
     store: VertexStore,
     history: list,
-    w: Targets | np.ndarray,
+    w: np.ndarray,
     template: StageTemplate,
 ) -> Cut:
     """One cut from the whole history at the current targets.
@@ -184,7 +184,7 @@ def rescale_cuts(cuts: list, m: int) -> list:
 
 
 def scenario_value_bound(
-    store: VertexStore, template: StageTemplate, d, w: Targets | np.ndarray
+    store: VertexStore, template: StageTemplate, d, w: np.ndarray
 ) -> float:
     """Best stored underestimate of h(w, d); -inf with no certificate."""
     w_vec = np.asarray(w, dtype=float)
@@ -220,7 +220,7 @@ class MasterProblem:
             raise ValueError("design_cost and target_box disagree on n_w")
 
 
-def lower_bound_at(master: MasterProblem, w: Targets | np.ndarray) -> float:
+def lower_bound_at(master: MasterProblem, w: np.ndarray) -> float:
     """Envelope value max_j alpha_j + (c_w + beta_j)'w."""
     if not master.cuts:
         raise EmptyCuts("no cuts to evaluate")

@@ -25,7 +25,7 @@ import numpy as np
 
 from hmpc.lp import GeneralLP, LPStatus, solve_general
 from hmpc.scenarios import ScenarioPool, collapse
-from hmpc.stage import StageSolveCache, StageTemplate, Targets, solve_stage
+from hmpc.stage import StageSolveCache, StageTemplate, solve_stage
 
 DEFAULT_CAP = 40
 
@@ -110,7 +110,6 @@ def solve_nonperiodic(
     history: list,
     design_cost: np.ndarray,
     cap: int = DEFAULT_CAP,
-    initial_state=None,
 ) -> tuple[float, float]:
     """Long-horizon relaxation: continuity instead of periodicity.
 
@@ -118,11 +117,8 @@ def solve_nonperiodic(
     charges the peak price every period and averages stage costs, so the
     value is directly comparable with ``solve_saa`` on the same history;
     any periodic solution is feasible here, which forces
-    nonperiodic <= periodic.
-
-    ``initial_state`` pins the opening state (original units); None
-    leaves it free inside its variable bounds, and the closing state is
-    always free.
+    nonperiodic <= periodic.  The opening and closing states are free
+    inside their variable bounds.
     """
     m = len(history)
     if m == 0:
@@ -140,8 +136,7 @@ def solve_nonperiodic(
     cols_b = template.n_cols
     lb = template.var_map.lower
 
-    extra = (m - 1) + (1 if initial_state is not None else 0)
-    n_rows = m * rows_b + extra
+    n_rows = m * rows_b + m - 1
     n_cols = 1 + m * cols_b  # shared peak column first
     A = np.zeros((n_rows, n_cols))
     rhs = np.zeros(n_rows)
@@ -154,15 +149,11 @@ def solve_nonperiodic(
         A[r0:r0 + rows_b, c0:c0 + cols_b] = template.matrix_builder(d)[keep]
         rhs[r0:r0 + rows_b] = template.rhs_builder(d)[keep]
         cost[c0:c0 + cols_b] = template.cost_builder(d) / m
-    row = m * rows_b
     for b in range(m - 1):
+        row = m * rows_b + b
         A[row, 1 + b * cols_b + sl] = 1.0
         A[row, 1 + (b + 1) * cols_b + sf] = -1.0
         rhs[row] = lb[sf] - lb[sl]
-        row += 1
-    if initial_state is not None:
-        A[row, 1 + sf] = 1.0
-        rhs[row] = float(initial_state) - lb[sf]
 
     lower = np.concatenate([[0.0], np.zeros(m * cols_b)])
     upper = np.full(n_cols, np.inf)
@@ -187,7 +178,7 @@ def reference_cost(
     template: StageTemplate,
     pool: ScenarioPool,
     design_cost: np.ndarray,
-    w: Targets | np.ndarray,
+    w: np.ndarray,
     cache: StageSolveCache | None = None,
 ) -> float:
     """Exact expected period cost phi(w) = c_w'w + E[h(w, D)].

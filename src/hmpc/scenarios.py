@@ -35,10 +35,8 @@ class PeriodRealization:
     """One period's exogenous data, hourly samples at t = 0..n.
 
     energy_price: $/kWh, fr_price: $/kW, load: kW, fr_request: dispatch
-    fraction in [0,1].  ``key`` digests all four series (two
-    realizations share a key iff bit-identical); ``structure_key``
-    digests only fr_request, which is the only series entering the
-    constraint matrix.
+    fraction in [0,1].  ``key`` digests all four series, so two
+    realizations share a key iff they are bit-identical.
     """
 
     energy_price: np.ndarray
@@ -63,7 +61,6 @@ class PeriodRealization:
         if not np.all(np.isfinite(a)) or (a < 0).any() or (a > 1).any():
             raise ValueError("fr_request must lie in [0, 1]")
         object.__setattr__(self, "key", _digest(self.energy_price, self.fr_price, self.load, self.fr_request))
-        object.__setattr__(self, "structure_key", _digest(self.fr_request))
 
     @property
     def n_steps(self) -> int:

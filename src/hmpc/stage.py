@@ -2,9 +2,10 @@
 
 A stage problem prices one period of operation against fixed coupling
 targets w = (x0, eta): the boundary state the period must start and end
-at, and the peak bound the period is charged against.  In canonical form
+at, and the peak bound the period is charged against.  w is a plain
+vector, state components first and eta last.  In canonical form
 
-    h(w, d) = min { c(d) @ y : W(d) @ y = r(d) - T @ encode(w), y >= 0 }
+    h(w, d) = min { c(d) @ y : W(d) @ y = r(d) - T @ w, y >= 0 }
 
 where d is the period's data realization.  The coupling matrix T is fixed;
 prices enter the cost vector, loads enter the rhs.  The recourse matrix W
@@ -32,35 +33,6 @@ class StageInfeasible(Exception):
 
 class StageUnbounded(Exception):
     """A stage solve was unbounded; the model is missing a bound."""
-
-
-@dataclass(frozen=True)
-class Targets:
-    """Coupling targets: boundary state vector x0 and peak bound eta."""
-
-    x0: np.ndarray
-    eta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
-        object.__setattr__(self, "eta", float(self.eta))
-
-    def encode(self) -> np.ndarray:
-        """Fixed target ordering: state components first, then eta."""
-        return np.concatenate([self.x0, [self.eta]])
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """``np.asarray(targets)`` is ``targets.encode()``."""
-        return self.encode().astype(dtype, copy=False)
-
-    @classmethod
-    def decode(cls, w: np.ndarray) -> "Targets":
-        w = np.asarray(w, dtype=float)
-        return cls(x0=w[:-1], eta=float(w[-1]))
-
-    @property
-    def n_w(self) -> int:
-        return self.x0.size + 1
 
 
 @dataclass(frozen=True)
@@ -107,14 +79,13 @@ class StageResult:
 
     cost_h: float
     dual_vertex: np.ndarray
-    primal: np.ndarray
     trajectories: np.ndarray
     slack_activation: float
     template: StageTemplate
     iterations: int = 0
 
 
-def build_stage(template: StageTemplate, w: Targets | np.ndarray, d) -> StandardLP:
+def build_stage(template: StageTemplate, w: np.ndarray, d) -> StandardLP:
     """Assemble the canonical stage LP for targets w and realization d."""
     w_vec = np.asarray(w, dtype=float)
     if w_vec.size != template.n_w:
@@ -127,7 +98,7 @@ def build_stage(template: StageTemplate, w: Targets | np.ndarray, d) -> Standard
     )
 
 
-def solve_stage(template: StageTemplate, w: Targets | np.ndarray, d) -> StageResult:
+def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
     """Solve the stage LP; returns cost, dual vertex and trajectories.
 
     Raises StageInfeasible / StageUnbounded instead of returning a status,
@@ -148,7 +119,6 @@ def solve_stage(template: StageTemplate, w: Targets | np.ndarray, d) -> StageRes
     return StageResult(
         cost_h=float(sol.objective),
         dual_vertex=sol.dual,
-        primal=sol.primal,
         trajectories=template.var_map.original_primal(sol.primal),
         slack_activation=slack,
         template=template,
@@ -171,7 +141,7 @@ class StageSolveCache:
         self._misses = 0
         self._store: dict = {}
 
-    def solve(self, w: Targets | np.ndarray, d) -> StageResult:
+    def solve(self, w: np.ndarray, d) -> StageResult:
         w_vec = np.asarray(w, dtype=float)
         key = (d.key, w_vec.tobytes())
         found = self._store.get(key)

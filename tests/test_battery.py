@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -17,7 +19,7 @@ from hmpc.battery import (
 )
 from hmpc.lp import solve_lp
 from hmpc.scenarios import PeriodRealization, synthetic_pool
-from hmpc.stage import Targets, build_stage, solve_stage
+from hmpc.stage import build_stage, solve_stage
 
 
 def small_params(n=3, **overrides):
@@ -66,7 +68,7 @@ def scipy_stage_money(params, d, w):
         row = np.zeros(nv)
         row[col] = 1
         rows_eq.append(row)
-        rhs_eq.append(w.x0[0])
+        rhs_eq.append(w[0])
     for t in range(ns):
         row = np.zeros(nv)
         row[iD[t]], row[iP[t]], row[iF[t]] = 1, 1, -alpha[t]
@@ -86,7 +88,7 @@ def scipy_stage_money(params, d, w):
         ub((iP[t], iF[t]), (-1, 1), params.charge_Punder)
         ub((iF[t], iE[t]), (params.fr_reserve_rho, -1), 0.0)
         ub((iF[t], iE[t]), (params.fr_reserve_rho, 1), params.capacity_Ebar)
-        ub((iD[t], iS[t]), (1, -1), w.eta)
+        ub((iD[t], iS[t]), (1, -1), w[1])
         ub((iP[t], iF[t]), (1, 1), d.load[t])
     for t in range(n):
         ub((iF[t], iE[t + 1]), (params.fr_reserve_rho, -1), 0.0)
@@ -142,9 +144,9 @@ def test_changing_targets_touches_only_their_rows():
     params = small_params(n=4)
     tpl = build_template(params)
     d = synthetic_pool(n_steps=4, n_scenarios=1, seed=0).support[0]
-    base = build_stage(tpl, Targets(x0=[50.0], eta=400.0), d).eq_rhs
-    moved_state = build_stage(tpl, Targets(x0=[80.0], eta=400.0), d).eq_rhs
-    moved_peak = build_stage(tpl, Targets(x0=[50.0], eta=500.0), d).eq_rhs
+    base = build_stage(tpl, np.array([50.0, 400.0]), d).eq_rhs
+    moved_state = build_stage(tpl, np.array([80.0, 400.0]), d).eq_rhs
+    moved_peak = build_stage(tpl, np.array([50.0, 500.0]), d).eq_rhs
     assert set(np.flatnonzero(moved_state - base)) == set(tpl.row_tags["boundary"])
     assert set(np.flatnonzero(moved_peak - base)) == set(tpl.row_tags["peak"])
 
@@ -158,7 +160,21 @@ def test_fr_request_lands_in_matrix():
     np.testing.assert_allclose(A[tpl.row_tags["balance"], iF[:3]], -0.3)
     np.testing.assert_allclose(A[tpl.row_tags["utility"], iF], -0.3)
     d2 = realization(3, price=0.1, fr_price=0.02, load=[60.0] * 4, alpha=0.3)
-    assert tpl.matrix_builder(d2) is A  # same structure, shared matrix
+    np.testing.assert_array_equal(tpl.matrix_builder(d2), A)  # load stays out of W
+
+
+
+def test_template_keeps_nothing_per_day():
+    tpl = build_template(small_params(n=24))
+    days = synthetic_pool(n_steps=24, n_scenarios=20, seed=4242).support
+    tracemalloc.start()
+    try:
+        for d in days:
+            tpl.rhs_builder(d), tpl.cost_builder(d), tpl.matrix_builder(d)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1e6
 
 
 def test_do_nothing_under_zero_prices():
@@ -166,7 +182,7 @@ def test_do_nothing_under_zero_prices():
     tpl = build_template(params)
     loads = np.array([40.0, 55.0, 70.0, 55.0, 40.0])
     d = realization(4, price=0.0, fr_price=0.0, load=loads, alpha=0.3)
-    res = solve_stage(tpl, Targets(x0=[100.0], eta=80.0), d)
+    res = solve_stage(tpl, np.array([100.0, 80.0]), d)
     assert res.cost_h == pytest.approx(0.0, abs=1e-9)
     assert res.slack_activation == pytest.approx(0.0, abs=1e-9)
     traj = decode_trajectory(res, params)
@@ -179,10 +195,10 @@ def test_stage_matches_independent_highs_solve():
     tpl = build_template(params)
     loads = np.array([90.0, 120.0, 160.0, 100.0])
     cases = [
-        (realization(3, 0.20, 0.05, loads, 0.25), Targets(x0=[120.0], eta=150.0)),
-        (realization(3, 0.20, 0.05, loads, 0.25), Targets(x0=[0.0], eta=90.0)),
-        (realization(3, 0.05, 0.00, loads, 0.0), Targets(x0=[200.0], eta=140.0)),
-        (realization(3, 0.40, 0.12, loads, 0.6), Targets(x0=[60.0], eta=60.0)),
+        (realization(3, 0.20, 0.05, loads, 0.25), np.array([120.0, 150.0])),
+        (realization(3, 0.20, 0.05, loads, 0.25), np.array([0.0, 90.0])),
+        (realization(3, 0.05, 0.00, loads, 0.0), np.array([200.0, 140.0])),
+        (realization(3, 0.40, 0.12, loads, 0.6), np.array([60.0, 60.0])),
     ]
     for d, w in cases:
         res = solve_stage(tpl, w, d)
@@ -195,7 +211,7 @@ def test_elastic_slack_absorbs_undersized_peak():
     tpl = build_template(params)
     loads = np.array([300.0, 300.0, 300.0])  # load alone exceeds eta + battery power
     d = realization(2, price=0.0, fr_price=0.0, load=loads, alpha=0.0)
-    res = solve_stage(tpl, Targets(x0=[100.0], eta=50.0), d)
+    res = solve_stage(tpl, np.array([100.0, 50.0]), d)
     assert res.slack_activation > 0
     assert res.cost_h == pytest.approx(params.elastic_penalty_M * res.slack_activation, rel=1e-9)
 
@@ -204,7 +220,7 @@ def test_price_homogeneity():
     params = small_params(n=3)
     tpl = build_template(params)
     loads = np.array([90.0, 120.0, 160.0, 100.0])
-    w = Targets(x0=[100.0], eta=200.0)
+    w = np.array([100.0, 200.0])
     d1 = realization(3, 0.20, 0.05, loads, 0.25)
     d2 = realization(3, 0.40, 0.10, loads, 0.25)
     h1 = solve_stage(tpl, w, d1).cost_h
@@ -217,7 +233,7 @@ def test_fr_earns_nothing_without_dispatch_or_price():
     tpl = build_template(params)
     loads = np.array([90.0, 120.0, 160.0, 100.0])
     d = realization(3, 0.2, 0.0, loads, 0.0)
-    w = Targets(x0=[100.0], eta=200.0)
+    w = np.array([100.0, 200.0])
     lp = build_stage(tpl, w, d)
     base = solve_lp(lp).objective
     taxed = lp.cost.copy()
@@ -233,7 +249,7 @@ def test_trajectory_invariants_on_priced_solve():
     tpl = build_template(params)
     pool = synthetic_pool(n_steps=5, n_scenarios=3, seed=8, base_load=150.0)
     d = pool.support[1]
-    w = Targets(x0=[120.0], eta=float(d.load.max()))
+    w = np.array([120.0, float(d.load.max())])
     res = solve_stage(tpl, w, d)
     traj = decode_trajectory(res, params)
     a = d.fr_request
@@ -252,7 +268,7 @@ def test_trajectory_invariants_on_priced_solve():
     assert (rho * traj.F <= traj.E + tol).all()
     assert (rho * traj.F + traj.E <= params.capacity_Ebar + tol).all()
     assert (np.abs(np.diff(traj.P)) <= params.ramp_dPbar + tol).all()
-    assert (traj.d_util <= w.eta + traj.peak_slack + tol).all()
+    assert (traj.d_util <= w[1] + traj.peak_slack + tol).all()
 
 
 def test_decode_rejects_foreign_params():
@@ -260,7 +276,7 @@ def test_decode_rejects_foreign_params():
     other = small_params(n=2, capacity_Ebar=500.0)
     tpl = build_template(params)
     d = realization(2, 0.1, 0.0, [50.0, 60.0, 50.0], 0.0)
-    res = solve_stage(tpl, Targets(x0=[80.0], eta=70.0), d)
+    res = solve_stage(tpl, np.array([80.0, 70.0]), d)
     with pytest.raises(MapMismatch):
         decode_trajectory(res, other)
     assert decode_trajectory(res, small_params(n=2)) is not None
@@ -308,8 +324,8 @@ def test_suggested_offset_keeps_stage_costs_nonnegative():
     tpl = build_template(lifted)
     box = target_box(params, max_load=float(max(d.load.max() for d in pool.support)))
     rng = np.random.default_rng(1)
-    probes = [Targets(x0=[x], eta=e) for x in box[0] for e in box[1]] + [
-        Targets(x0=[rng.uniform(*box[0])], eta=rng.uniform(*box[1])) for _ in range(8)
+    probes = [np.array([x, e]) for x in box[0] for e in box[1]] + [
+        np.array([rng.uniform(*box[0]), rng.uniform(*box[1])]) for _ in range(8)
     ]
     for d in pool.support:
         for w in probes:

@@ -177,3 +177,19 @@ def test_negative_stage_cost_exits_one(tmp_path, capsys):
                "--horizon", "30"])
     assert rc == 1
     assert "cost_offset" in capsys.readouterr().err
+
+
+def test_oracle_refuses_horizon(workdir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(workdir / "small.conf"),
+              "--out", str(tmp_path / "x"), "--periods", "3", "--horizon", "3"])
+    assert exc.value.code == 2
+
+
+def test_zero_audit_stride_exits_one(workdir, tmp_path, capsys):
+    conf = workdir / "stride.conf"
+    conf.write_text("pool_file = pool.json\nparams_file = battery.kv\nhorizon = 3\n"
+                    "audit_full_until = 2\naudit_stride = 0\n")
+    rc = main(["run", "--config", str(conf), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "audit_stride" in capsys.readouterr().err

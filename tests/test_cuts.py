@@ -15,7 +15,7 @@ from hmpc.cuts import (
     scenario_value_bound,
     solve_master,
 )
-from hmpc.stage import Targets, solve_stage
+from hmpc.stage import solve_stage
 
 CW = np.array([0.0, 1.0])
 BOX = np.array([[0.0, 4.0], [0.0, 2.0]])
@@ -34,7 +34,7 @@ def run_periods(history, targets):
 
 def phi_m(tpl, history, w):
     total = sum(solve_stage(tpl, w, d).cost_h for d in history)
-    return float(CW @ w.encode()) + total / len(history)
+    return float(CW @ w) + total / len(history)
 
 
 def test_cut_value_includes_design_cost():
@@ -45,14 +45,14 @@ def test_cut_value_includes_design_cost():
 
 def test_single_period_cut_is_exact_at_its_targets():
     d = TinyData(cost=(1.0, 3.0, 2.0))
-    w = Targets(x0=[1.0], eta=0.5)
+    w = np.array([1.0, 0.5])
     tpl, store = run_periods([d], [w])
     cut = generate_cut(store, [d], w, tpl)
     res = solve_stage(tpl, w, d)
     np.testing.assert_allclose(cut.alpha, res.dual_vertex @ np.asarray(d.rhs))
     np.testing.assert_allclose(cut.beta, -T_TOY.T @ res.dual_vertex)
-    assert cut.value_at(w.encode(), CW) == pytest.approx(
-        CW @ w.encode() + res.cost_h, abs=1e-9
+    assert cut.value_at(w, CW) == pytest.approx(
+        CW @ w + res.cost_h, abs=1e-9
     )
     assert cut.birth_period == 1
 
@@ -60,8 +60,8 @@ def test_single_period_cut_is_exact_at_its_targets():
 def test_two_period_cut_matches_hand_arithmetic():
     d1 = TinyData(cost=(1.0, 3.0, 2.0))
     d2 = TinyData(cost=(2.0, 1.0, 5.0), rhs=(4.0, 2.0))
-    w1 = Targets(x0=[1.0], eta=0.5)
-    w2 = Targets(x0=[2.0], eta=1.0)
+    w1 = np.array([1.0, 0.5])
+    w2 = np.array([2.0, 1.0])
     tpl, store = run_periods([d1, d2], [w1, w2])
     cut = generate_cut(store, [d1, d2], w2, tpl)
 
@@ -71,7 +71,7 @@ def test_two_period_cut_matches_hand_arithmetic():
         r = np.asarray(d.rhs)
         c = np.asarray(d.cost)
         feasible = (V @ W_TOY <= c + 1e-9).all(axis=1)
-        vals = np.where(feasible, V @ (r - T_TOY @ w2.encode()), -np.inf)
+        vals = np.where(feasible, V @ (r - T_TOY @ w2), -np.inf)
         pi = V[int(np.argmax(vals))]
         alpha_hand += 0.5 * pi @ r
         beta_hand -= 0.5 * T_TOY.T @ pi
@@ -88,20 +88,20 @@ def test_cut_is_valid_everywhere_in_box():
     ]
     history = [pool[int(k)] for k in rng.integers(0, 3, size=6)]
     targets = [
-        Targets(x0=[rng.uniform(0, 4)], eta=rng.uniform(0, 2)) for _ in history
+        np.array([rng.uniform(0, 4), rng.uniform(0, 2)]) for _ in history
     ]
     tpl, store = run_periods(history, targets)
     cut = generate_cut(store, history, targets[-1], tpl)
     for _ in range(20):
-        w = Targets(x0=[rng.uniform(0, 4)], eta=rng.uniform(0, 2))
-        bound = cut.value_at(w.encode(), CW)
+        w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
+        bound = cut.value_at(w, CW)
         assert bound <= phi_m(tpl, history, w) + 1e-8
 
 
 def test_infeasible_vertices_are_filtered():
     expensive = TinyData(cost=(10.0, 10.0, 10.0))
     cheap = TinyData(cost=(1.0, 1.0, 1.0))
-    w = Targets(x0=[1.0], eta=0.5)
+    w = np.array([1.0, 0.5])
     tpl, store = run_periods([expensive], [w])
     mask = store.certified_mask(cheap, tpl)
     assert not mask.any()  # pricey duals overestimate the cheap scenario
@@ -111,8 +111,8 @@ def test_infeasible_vertices_are_filtered():
     cut = generate_cut(store, [expensive, cheap], w, tpl)
     for x0 in np.linspace(0, 4, 9):
         for eta in np.linspace(0, 2, 5):
-            probe = Targets(x0=[x0], eta=eta)
-            assert cut.value_at(probe.encode(), CW) <= phi_m(
+            probe = np.array([x0, eta])
+            assert cut.value_at(probe, CW) <= phi_m(
                 tpl, [expensive, cheap], probe
             ) + 1e-8
 
@@ -134,7 +134,7 @@ PROPERTY_CLASSES = [
     TinyData(cost=(0.5, 2.0, 1.0)),
     TinyData(cost=(10.0, 10.0, 10.0)),
 ]
-PROPERTY_TARGETS = [Targets(x0=[x0], eta=eta) for x0 in (0.0, 1.5, 4.0) for eta in (0.0, 2.0)]
+PROPERTY_TARGETS = [np.array([x0, eta]) for x0 in (0.0, 1.5, 4.0) for eta in (0.0, 2.0)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -184,15 +184,15 @@ def test_rescaled_cut_still_bounds_grown_average():
         TinyData(cost=(0.5, 2.0, 1.0)),
     ]
     history = [pool[int(k)] for k in rng.integers(0, 3, size=2)]
-    targets = [Targets(x0=[1.0], eta=0.5), Targets(x0=[2.0], eta=1.0)]
+    targets = [np.array([1.0, 0.5]), np.array([2.0, 1.0])]
     tpl, store = run_periods(history, targets)
     cut = generate_cut(store, history, targets[-1], tpl)
     for extra in range(3):
         history.append(pool[extra])
         cut = rescale_cuts([cut], m=len(history))[0]
         for _ in range(20):
-            w = Targets(x0=[rng.uniform(0, 4)], eta=rng.uniform(0, 2))
-            assert cut.value_at(w.encode(), CW) <= phi_m(tpl, history, w) + 1e-8
+            w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
+            assert cut.value_at(w, CW) <= phi_m(tpl, history, w) + 1e-8
 
 
 def test_master_single_cut_goes_to_lower_corner():
@@ -231,13 +231,13 @@ def test_master_is_outer_approximation():
     rng = np.random.default_rng(5)
     pool = [TinyData(cost=(1.0, 3.0, 2.0)), TinyData(cost=(0.5, 2.0, 1.0))]
     history = [pool[k % 2] for k in range(4)]
-    targets = [Targets(x0=[rng.uniform(0, 4)], eta=rng.uniform(0, 2)) for _ in history]
+    targets = [np.array([rng.uniform(0, 4), rng.uniform(0, 2)]) for _ in history]
     tpl, store = run_periods(history, targets)
     cut = generate_cut(store, history, targets[-1], tpl)
     master = MasterProblem(cuts=[cut], design_cost=CW, target_box=BOX)
     _, lb = solve_master(master)
     for _ in range(10):
-        w = Targets(x0=[rng.uniform(0, 4)], eta=rng.uniform(0, 2))
+        w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
         assert lb <= phi_m(tpl, history, w) + 1e-8
 
 
@@ -267,7 +267,7 @@ def test_scenario_value_bound_tracks_store_growth():
     other = TinyData(cost=(2.0, 0.5, 4.0))
     tpl = toy_template()
     store = VertexStore(n_rows=tpl.n_rows)
-    w = Targets(x0=[1.5], eta=0.5)
+    w = np.array([1.5, 0.5])
     assert scenario_value_bound(store, tpl, d, w) == -np.inf
 
     res = solve_stage(tpl, w, d)
@@ -275,7 +275,7 @@ def test_scenario_value_bound_tracks_store_growth():
     h_bound = scenario_value_bound(store, tpl, d, w)
     assert h_bound == pytest.approx(res.cost_h, abs=1e-9)
 
-    store.insert(solve_stage(tpl, Targets(x0=[3.0], eta=1.5), other).dual_vertex, other.key)
-    probe = Targets(x0=[2.5], eta=1.0)
+    store.insert(solve_stage(tpl, np.array([3.0, 1.5]), other).dual_vertex, other.key)
+    probe = np.array([2.5, 1.0])
     grown = scenario_value_bound(store, tpl, d, probe)
     assert grown <= solve_stage(tpl, probe, d).cost_h + 1e-9

@@ -33,12 +33,10 @@ def test_realization_validation():
 
 def test_keys_distinguish_content():
     a, b = _flat(4), _flat(4)
-    assert a.key == b.key and a.structure_key == b.structure_key
+    assert a.key == b.key
     c = _flat(4, load=101.0)
     assert c.key != a.key
-    assert c.structure_key == a.structure_key  # load is not structural
-    e = _flat(4, alpha=0.3)
-    assert e.structure_key != a.structure_key
+    assert _flat(4, alpha=0.3).key != a.key
 
 
 def test_arrays_are_frozen():
