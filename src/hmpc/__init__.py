@@ -36,7 +36,7 @@ from hmpc.controller import (
     running_cost,
     step_period,
 )
-from hmpc.cuts import Cut, MasterProblem, VertexStore, generate_cut, rescale_cuts, solve_master
+from hmpc.cuts import Cut, VertexStore, generate_cut, rescale_cuts, solve_master
 from hmpc.oracle import (
     OracleCapExceeded,
     reference_cost,
@@ -67,7 +67,6 @@ __all__ = [
     "ScenarioPool",
     "sample_period",
     "Cut",
-    "MasterProblem",
     "VertexStore",
     "generate_cut",
     "rescale_cuts",

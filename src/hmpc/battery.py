@@ -60,10 +60,6 @@ class InvalidParams(ValueError):
     """Battery parameters violate their invariants."""
 
 
-class MapMismatch(ValueError):
-    """A StageResult was decoded against a template that did not make it."""
-
-
 @dataclass(frozen=True)
 class BatteryParams:
     """Physical and tariff parameters; units kWh, kW, hours, dollars.
@@ -257,9 +253,7 @@ def build_template(params: BatteryParams) -> StageTemplate:
         "state_last": np.array([iE[n]]),
     }
     return StageTemplate(
-        n_rows=n_rows,
         n_cols=n_cols,
-        n_x=1,
         coupling_T=coupling_T,
         cost_builder=cost_builder,
         rhs_builder=rhs_builder,
@@ -267,16 +261,15 @@ def build_template(params: BatteryParams) -> StageTemplate:
         var_map=var_map,
         row_tags=row_tags,
         col_tags=col_tags,
-        meta={"kind": "battery", "params": params},
     )
 
 
-def decode_trajectory(result: StageResult, params: BatteryParams) -> BatteryTrajectory:
-    meta = result.template.meta
-    if meta.get("kind") != "battery" or meta.get("params") != params:
-        raise MapMismatch("result does not come from a template built for these params")
+def decode_trajectory(result: StageResult, template: StageTemplate) -> BatteryTrajectory:
+    """Split the trajectories by column tag; the layout depends only on n."""
     orig = result.trajectories
-    tags = result.template.col_tags
+    if orig.size != template.var_map.n_orig:
+        raise ValueError(f"{orig.size} trajectory entries do not fit this template's n")
+    tags = template.col_tags
     return BatteryTrajectory(
         P=orig[tags["P"]],
         F=orig[tags["F"]],

@@ -26,7 +26,6 @@ import numpy as np
 from hmpc.battery import (
     BatteryParams,
     InvalidParams,
-    MapMismatch,
     build_template,
     decode_trajectory,
     design_cost,
@@ -40,6 +39,7 @@ from hmpc.cuts import EmptyCuts, EmptyStore, MasterInfeasible
 from hmpc.kv import read_kv, write_kv
 from hmpc.lp import LPError
 from hmpc.oracle import (
+    DEFAULT_CAP,
     OracleCapExceeded,
     reference_cost,
     solve_nonperiodic,
@@ -65,7 +65,6 @@ USER_ERRORS = (
     json.JSONDecodeError,
     SchemaError,
     InvalidParams,
-    MapMismatch,
     OracleCapExceeded,
     StageInfeasible,
     StageUnbounded,
@@ -125,7 +124,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _load_setup(config_path: Path, cfg: dict):
-    """Pool, params, template, box and design cost from a run config."""
+    """Pool, template, box and design cost from a run config."""
     base = config_path.parent
     if ("pool_file" in cfg) == ("pool_csv" in cfg):
         raise ValueError("config needs exactly one of pool_file or pool_csv")
@@ -137,7 +136,7 @@ def _load_setup(config_path: Path, cfg: dict):
     params = load_params(base / cfg["params_file"])
     template = build_template(params)
     max_load = float(max(d.load.max() for d in pool.support))
-    return pool, params, template, target_box(params, max_load), design_cost(params)
+    return pool, template, target_box(params, max_load), design_cost(params)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def _run_config(args) -> tuple[Path, dict]:
 
 def cmd_run(args) -> int:
     config_path, cfg = _run_config(args)
-    pool, params, template, box, cw = _load_setup(config_path, cfg)
+    pool, template, box, cw = _load_setup(config_path, cfg)
 
     horizon = int(cfg.get("horizon", 100))
     seed = int(cfg.get("seed", 0))
@@ -263,7 +262,7 @@ def cmd_run(args) -> int:
 
     rows = []
     for period, _, plan in sim.planned:
-        traj = decode_trajectory(plan, params)
+        traj = decode_trajectory(plan, template)
         for t in range(traj.E.size):
             rows.append(
                 [period, t, _fmt(traj.P[t]), _fmt(traj.F[t]), _fmt(traj.E[t]),
@@ -316,7 +315,7 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     config_path, cfg = _run_config(args)
-    pool, params, template, box, cw = _load_setup(config_path, cfg)
+    pool, template, box, cw = _load_setup(config_path, cfg)
     periods = args.periods
     seed = int(cfg.get("seed", 0))
 
@@ -347,7 +346,7 @@ def cmd_oracle(args) -> int:
 def cmd_gap(args) -> int:
     run_dir = Path(args.run_dir)
     cfg = read_kv(run_dir / "run.conf")
-    pool, params, template, box, cw = _load_setup(run_dir / "run.conf", cfg)
+    pool, template, box, cw = _load_setup(run_dir / "run.conf", cfg)
     cache = StageSolveCache(template)
 
     with open(run_dir / "metrics.csv", newline="") as fh:
@@ -406,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--periods", type=int, default=8)
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--cap", type=int, default=40, help="extensive-form block cap")
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="extensive-form block cap")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gap", help="recompute exact gaps for a run directory")

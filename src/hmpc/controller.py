@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hmpc.cuts import (
-    MasterProblem,
     VertexStore,
     generate_cut,
     lower_bound_at,
@@ -71,33 +70,39 @@ class GapRecord:
 
 @dataclass
 class HierarchyState:
-    """Everything the retroactive layer carries across periods."""
+    """Everything the retroactive layer carries across periods.
+
+    Template, design cost and box are checked once, here; ``targets_w``
+    defaults to mid-box.  The rest starts empty and only ``step_period``
+    grows it; the next period is ``len(history) + 1``.
+    """
 
     template: StageTemplate
     design_cost: np.ndarray
     target_box: np.ndarray
-    targets_w: np.ndarray
-    period_m: int = 1
-    store: VertexStore = None
-    cuts: list = field(default_factory=list)
-    history: list = field(default_factory=list)
-    realized_cost_accum: float = 0.0
-    cache: StageSolveCache = None
+    targets_w: np.ndarray | None = None
+    store: VertexStore = field(init=False)
+    cache: StageSolveCache = field(init=False)
+    cuts: list = field(init=False, default_factory=list)
+    history: list = field(init=False, default_factory=list)
+    realized_cost_accum: float = field(init=False, default=0.0)
 
     def __post_init__(self):
+        n_w = self.template.n_w
         self.design_cost = np.asarray(self.design_cost, dtype=float)
-        self.target_box = np.asarray(self.target_box, dtype=float)
-        self.targets_w = np.asarray(self.targets_w, dtype=float)
-        if self.store is None:
-            self.store = VertexStore(n_rows=self.template.n_rows)
-        if self.cache is None:
-            self.cache = StageSolveCache(self.template)
-
-    @property
-    def master(self) -> MasterProblem:
-        return MasterProblem(
-            cuts=self.cuts, design_cost=self.design_cost, target_box=self.target_box
-        )
+        box = self.target_box = np.asarray(self.target_box, dtype=float)
+        if box.shape != (n_w, 2):
+            raise ValueError(f"target_box must be (n_w, 2) = ({n_w}, 2), got {box.shape}")
+        if (box[:, 0] > box[:, 1]).any():
+            raise ValueError("target_box has lo > hi")
+        if self.design_cost.size != n_w:
+            raise ValueError(f"design_cost has {self.design_cost.size} entries, n_w is {n_w}")
+        w = box.mean(axis=1) if self.targets_w is None else np.asarray(self.targets_w, dtype=float)
+        if (w < box[:, 0] - 1e-12).any() or (w > box[:, 1] + 1e-12).any():
+            raise ValueError("initial targets outside the target box")
+        self.targets_w = w
+        self.store = VertexStore(n_rows=self.template.n_rows)
+        self.cache = StageSolveCache(self.template)
 
 
 def initial_state(
@@ -107,13 +112,7 @@ def initial_state(
     w1: np.ndarray | None = None,
 ) -> HierarchyState:
     """Fresh state; default first targets sit mid-box."""
-    box = np.asarray(target_box, dtype=float)
-    w = box.mean(axis=1) if w1 is None else np.asarray(w1, dtype=float)
-    if (w < box[:, 0] - 1e-12).any() or (w > box[:, 1] + 1e-12).any():
-        raise ValueError("initial targets outside the target box")
-    return HierarchyState(
-        template=template, design_cost=design_cost, target_box=box, targets_w=w
-    )
+    return HierarchyState(template, design_cost, target_box, targets_w=w1)
 
 
 def running_cost(state: HierarchyState, w: np.ndarray) -> float:
@@ -140,7 +139,7 @@ def step_period(
     exact overall gap to audited rows.  A negative stage cost raises
     NegativeStageCost before the state changes.
     """
-    m = state.period_m
+    m = len(state.history) + 1
     w_m = state.targets_w
     res = state.cache.solve(w_m, realized)
     if res.cost_h < -1e-7 * (1 + abs(res.cost_h)):
@@ -151,13 +150,11 @@ def step_period(
     state.store.insert(res.dual_vertex, realized.key)
     state.history.append(realized)
 
-    if state.cuts:
-        state.cuts = rescale_cuts(state.cuts, m)
+    state.cuts = rescale_cuts(state.cuts, m)
     state.cuts.append(generate_cut(state.store, state.history, w_m, state.template))
 
-    master = state.master
-    lb = lower_bound_at(master, w_m)
-    w_next, master_bound = solve_master(master)
+    lb = lower_bound_at(state.cuts, state.design_cost, w_m)
+    w_next, master_bound = solve_master(state.cuts, state.design_cost, state.target_box)
 
     record = GapRecord(
         period=m,
@@ -179,7 +176,6 @@ def step_period(
             record.overall_gap_epsbar = (ref - lb) / ref if ref != 0 else 0.0
 
     state.realized_cost_accum += res.cost_h + float(state.design_cost @ w_m)
-    state.period_m = m + 1
     state.targets_w = w_next
     return state, record
 
@@ -224,8 +220,6 @@ def run_simulation(
         if m <= keep_planned:
             mpc = state.cache.solve(state.targets_w, model.make_forecast(truth))
             planned.append((m, state.targets_w.copy(), mpc))
-        elif forecast_sigma > 0:
-            model.make_forecast(truth)  # keep the noise stream aligned
         audit = default_audit_stride(m, audit_full_until, audit_stride)
         _, record = step_period(
             state, truth, audit=audit, pool=pool if track_overall_gap else None

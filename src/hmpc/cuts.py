@@ -198,74 +198,42 @@ def scenario_value_bound(
     return float(np.max(vals[mask]))
 
 
-@dataclass
-class MasterProblem:
-    """Cut envelope minimized over the compact target box.
-
-    ``target_box`` is (n_w, 2): one (lo, hi) row per target component.
-    """
-
-    cuts: list
-    design_cost: np.ndarray
-    target_box: np.ndarray
-
-    def __post_init__(self):
-        self.design_cost = np.asarray(self.design_cost, dtype=float)
-        self.target_box = np.asarray(self.target_box, dtype=float)
-        if self.target_box.ndim != 2 or self.target_box.shape[1] != 2:
-            raise ValueError("target_box must be (n_w, 2)")
-        if (self.target_box[:, 0] > self.target_box[:, 1]).any():
-            raise ValueError("target_box has lo > hi")
-        if self.design_cost.size != self.target_box.shape[0]:
-            raise ValueError("design_cost and target_box disagree on n_w")
-
-
-def lower_bound_at(master: MasterProblem, w: np.ndarray) -> float:
+def lower_bound_at(cuts: list, design_cost: np.ndarray, w: np.ndarray) -> float:
     """Envelope value max_j alpha_j + (c_w + beta_j)'w."""
-    if not master.cuts:
+    if not cuts:
         raise EmptyCuts("no cuts to evaluate")
     w_vec = np.asarray(w, dtype=float)
-    return max(c.value_at(w_vec, master.design_cost) for c in master.cuts)
+    return max(c.value_at(w_vec, design_cost) for c in cuts)
 
 
-def _envelope_floor(master: MasterProblem) -> float:
-    """A finite lower bound for the epigraph variable over the box."""
-    lo, hi = master.target_box[:, 0], master.target_box[:, 1]
-    best = -np.inf
-    for cut in master.cuts:
-        slope = master.design_cost + cut.beta
-        best = max(best, cut.alpha + float(np.minimum(slope * lo, slope * hi).sum()))
-    return best
+def solve_master(
+    cuts: list, design_cost: np.ndarray, target_box: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Minimize the envelope over the (n_w, 2) target box; returns
+    (next targets, lower bound).
 
-
-def solve_master(master: MasterProblem) -> tuple[np.ndarray, float]:
-    """Minimize the envelope; returns (next targets, lower bound).
-
-    Epigraph form: min theta over the box with theta >= every cut.
+    Epigraph form: min theta over the box with theta >= every cut, one
+    row per cut.  theta's lower bound is the largest of the cuts' minima
+    over the box; the envelope is nowhere below it on the box.
     """
-    if not master.cuts:
+    if not cuts:
         raise EmptyCuts("master needs at least one cut")
-    n_w = master.design_cost.size
-    n_cuts = len(master.cuts)
-    A = np.zeros((n_cuts, n_w + 1))
-    rhs = np.zeros(n_cuts)
-    for j, cut in enumerate(master.cuts):
-        A[j, :n_w] = master.design_cost + cut.beta
-        A[j, n_w] = -1.0
-        rhs[j] = -cut.alpha
+    n_w = design_cost.size
+    alpha = np.array([c.alpha for c in cuts])
+    slopes = design_cost + np.array([c.beta for c in cuts])
+    lo, hi = target_box[:, 0], target_box[:, 1]
+    floor = float((alpha + np.minimum(slopes * lo, slopes * hi).sum(axis=1)).max())
     cost = np.zeros(n_w + 1)
     cost[n_w] = 1.0
-    lower = np.concatenate([master.target_box[:, 0], [_envelope_floor(master)]])
-    upper = np.concatenate([master.target_box[:, 1], [np.inf]])
     sol, vmap = solve_general(
         GeneralLP(
             cost=cost,
-            ub_matrix=A,
-            ub_rhs=rhs,
+            ub_matrix=np.hstack([slopes, np.full((len(cuts), 1), -1.0)]),
+            ub_rhs=-alpha,
             eq_matrix=np.zeros((0, n_w + 1)),
             eq_rhs=np.zeros(0),
-            lower=lower,
-            upper=upper,
+            lower=np.append(lo, floor),
+            upper=np.append(hi, np.inf),
         )
     )
     if sol.status is not LPStatus.OPTIMAL:

@@ -253,48 +253,50 @@ def load_pool(path) -> ScenarioPool:
 # synthetic data
 
 
+# The synthetic day: load shape, prices ($/kWh, $/kW) and scenario spread.
+LOAD_SWING = 0.6
+PEAK_HOUR_FRAC = 0.55
+PRICE_NIGHT = 0.05
+PRICE_DAY = 0.25
+FR_PRICE = 0.04
+FR_REQUEST_RANGE = (0.1, 0.4)
+SCALE_SPREAD = 0.15
+
+
 def synthetic_pool(
     n_steps: int = 24,
     n_scenarios: int = 5,
     seed: int = 0,
     base_load: float = 500.0,
-    load_swing: float = 0.6,
-    peak_hour_frac: float = 0.55,
-    price_night: float = 0.05,
-    price_day: float = 0.25,
-    fr_price: float = 0.04,
-    fr_request_range: tuple = (0.1, 0.4),
-    scale_spread: float = 0.15,
 ) -> ScenarioPool:
     """Equal-weight finite support from a daily shape and scale factors.
 
     Load is a sinusoid plus a midday peak bump; the energy price is
     two-tier (day tier on the middle half of the period).  Scenario k
     scales prices and loads by its own factor drawn within
-    1 +/- scale_spread and draws a constant regulation-request fraction
-    from ``fr_request_range``.  Pass ``fr_price=0`` and request range
-    (0, 0) for a pure-arbitrage pool.
+    1 +/- SCALE_SPREAD and draws a constant regulation-request fraction
+    from ``FR_REQUEST_RANGE``.
     """
     if n_scenarios < 1:
         raise ValueError("need at least one scenario")
     rng = stream(seed)
     t = np.arange(n_steps + 1)
     phase = 2.0 * math.pi * t / max(n_steps, 1)
-    shape = 1.0 + load_swing * (0.6 * np.sin(phase - 0.5 * math.pi))
-    peak_t = peak_hour_frac * n_steps
-    shape += load_swing * 0.8 * np.exp(-0.5 * ((t - peak_t) / (0.12 * n_steps + 0.5)) ** 2)
+    shape = 1.0 + LOAD_SWING * (0.6 * np.sin(phase - 0.5 * math.pi))
+    peak_t = PEAK_HOUR_FRAC * n_steps
+    shape += LOAD_SWING * 0.8 * np.exp(-0.5 * ((t - peak_t) / (0.12 * n_steps + 0.5)) ** 2)
     day = (t >= 0.25 * n_steps) & (t <= 0.75 * n_steps)
-    price = np.where(day, price_day, price_night).astype(float)
+    price = np.where(day, PRICE_DAY, PRICE_NIGHT).astype(float)
 
     support = []
     for _ in range(n_scenarios):
-        s_load = 1.0 + scale_spread * float(rng.uniform(-1.0, 1.0))
-        s_price = 1.0 + scale_spread * float(rng.uniform(-1.0, 1.0))
-        alpha = float(rng.uniform(*fr_request_range))
+        s_load = 1.0 + SCALE_SPREAD * float(rng.uniform(-1.0, 1.0))
+        s_price = 1.0 + SCALE_SPREAD * float(rng.uniform(-1.0, 1.0))
+        alpha = float(rng.uniform(*FR_REQUEST_RANGE))
         support.append(
             PeriodRealization(
                 energy_price=price * s_price,
-                fr_price=np.full(n_steps + 1, fr_price * s_price),
+                fr_price=np.full(n_steps + 1, FR_PRICE * s_price),
                 load=base_load * shape * s_load,
                 fr_request=np.full(n_steps + 1, alpha),
             )

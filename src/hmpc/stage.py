@@ -19,7 +19,7 @@ the canonical rows, which is a vertex of the dual feasible set
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,15 +40,14 @@ class StageTemplate:
     """Immutable recipe for building one period's canonical LP.
 
     ``cost_builder`` / ``rhs_builder`` / ``matrix_builder`` map a
-    realization to c(d), r(d), W(d).  ``coupling_T`` has one column per
-    target component and one row per canonical row.  ``row_tags`` holds named
-    canonical row index arrays (boundary rows, peak rows, ...) and
-    ``col_tags`` named canonical column index arrays, both in model terms.
+    realization to c(d), r(d), W(d).  ``coupling_T`` has one row per
+    canonical row and one column per target component, so it fixes
+    ``n_rows`` and ``n_w``.  ``row_tags`` holds named canonical row index
+    arrays (boundary rows, peak rows, ...) and ``col_tags`` named
+    canonical column index arrays, both in model terms.
     """
 
-    n_rows: int
     n_cols: int
-    n_x: int
     coupling_T: np.ndarray
     cost_builder: Callable
     rhs_builder: Callable
@@ -56,11 +55,14 @@ class StageTemplate:
     var_map: VarMap
     row_tags: dict
     col_tags: dict
-    meta: dict = field(default_factory=dict)
+
+    @property
+    def n_rows(self) -> int:
+        return self.coupling_T.shape[0]
 
     @property
     def n_w(self) -> int:
-        return self.n_x + 1
+        return self.coupling_T.shape[1]
 
     def objective_shift(self, d) -> float:
         """Constant separating canonical and original-variable objectives.
@@ -81,7 +83,6 @@ class StageResult:
     dual_vertex: np.ndarray
     trajectories: np.ndarray
     slack_activation: float
-    template: StageTemplate
     iterations: int = 0
 
 
@@ -121,7 +122,6 @@ def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
         dual_vertex=sol.dual,
         trajectories=template.var_map.original_primal(sol.primal),
         slack_activation=slack,
-        template=template,
         iterations=sol.iterations,
     )
 

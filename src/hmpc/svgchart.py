@@ -11,6 +11,7 @@ import math
 from xml.sax.saxutils import escape
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+WIDTH, HEIGHT = 720, 360  # pixels
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -47,8 +48,6 @@ def polyline_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 360,
 ) -> None:
     """Write a line chart to ``path``.
 
@@ -62,7 +61,7 @@ def polyline_chart(
     x_lo, x_hi = _span([x for _, xs, _ in series for x in xs])
     y_lo, y_hi = _span([y for _, _, ys in series for y in ys])
     left, right, top, bottom = 64, 14, 30, 42
-    inner_w, inner_h = width - left - right, height - top - bottom
+    inner_w, inner_h = WIDTH - left - right, HEIGHT - top - bottom
 
     def px(x):
         return left + (x - x_lo) / (x_hi - x_lo) * inner_w
@@ -71,13 +70,13 @@ def polyline_chart(
         return top + (y_hi - y) / (y_hi - y_lo) * inner_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" '
+            f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" '
             f'font-size="13">{escape(title)}</text>'
         )
 
@@ -122,7 +121,7 @@ def polyline_chart(
 
     if x_label:
         out.append(
-            f'<text x="{left + inner_w / 2:.1f}" y="{height - 8}" '
+            f'<text x="{left + inner_w / 2:.1f}" y="{HEIGHT - 8}" '
             f'text-anchor="middle">{escape(x_label)}</text>'
         )
     if y_label:

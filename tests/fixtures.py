@@ -89,8 +89,6 @@ def general_pool() -> ScenarioPool:
         n_scenarios=5,
         seed=42,
         base_load=500.0,
-        fr_price=0.04,
-        scale_spread=0.15,
     )
 
 

@@ -7,7 +7,6 @@ from scipy.optimize import linprog
 from hmpc.battery import (
     BatteryParams,
     InvalidParams,
-    MapMismatch,
     build_template,
     decode_trajectory,
     design_cost,
@@ -185,7 +184,7 @@ def test_do_nothing_under_zero_prices():
     res = solve_stage(tpl, np.array([100.0, 80.0]), d)
     assert res.cost_h == pytest.approx(0.0, abs=1e-9)
     assert res.slack_activation == pytest.approx(0.0, abs=1e-9)
-    traj = decode_trajectory(res, params)
+    traj = decode_trajectory(res, tpl)
     assert traj.E[0] == pytest.approx(100.0, abs=1e-9)
     assert traj.E[-1] == pytest.approx(100.0, abs=1e-9)
 
@@ -251,7 +250,7 @@ def test_trajectory_invariants_on_priced_solve():
     d = pool.support[1]
     w = np.array([120.0, float(d.load.max())])
     res = solve_stage(tpl, w, d)
-    traj = decode_trajectory(res, params)
+    traj = decode_trajectory(res, tpl)
     a = d.fr_request
     balance = traj.E[1:] - traj.E[:-1] + traj.P[:-1] - a[:-1] * traj.F[:-1]
     assert np.abs(balance).max() <= 1e-6 * params.capacity_Ebar
@@ -272,14 +271,17 @@ def test_trajectory_invariants_on_priced_solve():
 
 
 def test_decode_rejects_foreign_params():
-    params = small_params(n=2)
-    other = small_params(n=2, capacity_Ebar=500.0)
-    tpl = build_template(params)
+    """The column layout depends only on n: a template of another n is
+    refused, one of the same n with other params decodes alike."""
+    tpl = build_template(small_params(n=2))
     d = realization(2, 0.1, 0.0, [50.0, 60.0, 50.0], 0.0)
     res = solve_stage(tpl, np.array([80.0, 70.0]), d)
-    with pytest.raises(MapMismatch):
-        decode_trajectory(res, other)
-    assert decode_trajectory(res, small_params(n=2)) is not None
+    with pytest.raises(ValueError, match="trajectory entries"):
+        decode_trajectory(res, build_template(small_params(n=3)))
+    same_n = build_template(small_params(n=2, capacity_Ebar=500.0))
+    np.testing.assert_array_equal(
+        decode_trajectory(res, same_n).E, decode_trajectory(res, tpl).E
+    )
 
 
 def test_param_validation():

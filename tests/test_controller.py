@@ -43,7 +43,7 @@ def test_initial_state_defaults_and_box_check():
     template = toy_template()
     state = initial_state(template, TOY_CW, TOY_BOX)
     np.testing.assert_allclose(state.targets_w, [2.0, 1.0])
-    assert state.period_m == 1 and not state.cuts and not state.history
+    assert not state.cuts and not state.history
     with pytest.raises(ValueError, match="box"):
         initial_state(template, TOY_CW, TOY_BOX, w1=np.array([5.0, 1.0]))
 
@@ -54,7 +54,7 @@ def test_first_period_cut_is_tight_at_its_targets():
     state = initial_state(template, TOY_CW, TOY_BOX, w1=np.array([1.0, 1.0]))
     state, rec = step_period(state, d)
 
-    assert len(state.cuts) == 1 and state.period_m == 2
+    assert len(state.cuts) == 1 and len(state.history) == 1
     phi_1 = TOY_CW @ rec.targets + solve_stage(template, rec.targets, d).cost_h
     assert rec.running_cost == pytest.approx(phi_1, abs=1e-9)
     # one cut, generated here: envelope is exact at w_1
@@ -84,7 +84,6 @@ def test_fifty_periods_of_invariants():
         births.append((m, state.cuts[-1].alpha))
         records.append(rec)
 
-    assert state.period_m == 51
     assert len(state.cuts) == 50 and len(state.history) == 50
 
     for rec in records:
@@ -204,4 +203,3 @@ def test_negative_stage_cost_is_refused_before_it_is_stored():
     with pytest.raises(NegativeStageCost, match="period 1.*cost_offset"):
         step_period(state, TinyData(cost=(-1.0, 1.0, 1.0)))
     assert len(state.store) == 0 and not state.history and not state.cuts
-    assert state.period_m == 1

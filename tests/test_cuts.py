@@ -7,7 +7,6 @@ from hmpc.cuts import (
     Cut,
     EmptyCuts,
     EmptyStore,
-    MasterProblem,
     VertexStore,
     generate_cut,
     lower_bound_at,
@@ -15,6 +14,7 @@ from hmpc.cuts import (
     scenario_value_bound,
     solve_master,
 )
+from hmpc.controller import initial_state
 from hmpc.stage import solve_stage
 
 CW = np.array([0.0, 1.0])
@@ -197,8 +197,7 @@ def test_rescaled_cut_still_bounds_grown_average():
 
 def test_master_single_cut_goes_to_lower_corner():
     cut = Cut(alpha=1.0, beta=np.array([0.5, 0.25]), birth_period=1)
-    master = MasterProblem(cuts=[cut], design_cost=CW, target_box=BOX)
-    w, lb = solve_master(master)
+    w, lb = solve_master([cut], CW, BOX)
     np.testing.assert_allclose(w, BOX[:, 0], atol=1e-9)
     assert lb == pytest.approx(cut.value_at(BOX[:, 0], CW))
 
@@ -213,18 +212,17 @@ def test_master_matches_grid_search():
         )
         for j in range(5)
     ]
-    master = MasterProblem(cuts=cuts, design_cost=CW, target_box=BOX)
-    w, lb = solve_master(master)
+    w, lb = solve_master(cuts, CW, BOX)
     xs = np.linspace(BOX[0, 0], BOX[0, 1], 200)
     ys = np.linspace(BOX[1, 0], BOX[1, 1], 200)
     grid_best = min(
-        lower_bound_at(master, np.array([x, y])) for x in xs for y in ys
+        lower_bound_at(cuts, CW, np.array([x, y])) for x in xs for y in ys
     )
     assert lb <= grid_best + 1e-9
     cell = max(BOX[0, 1] - BOX[0, 0], BOX[1, 1] - BOX[1, 0]) / 199
     max_slope = max(np.abs(CW + c.beta).sum() for c in cuts)
     assert grid_best - lb <= max_slope * cell + 1e-9
-    assert lb == pytest.approx(lower_bound_at(master, w), abs=1e-9)
+    assert lb == pytest.approx(lower_bound_at(cuts, CW, w), abs=1e-9)
 
 
 def test_master_is_outer_approximation():
@@ -234,8 +232,7 @@ def test_master_is_outer_approximation():
     targets = [np.array([rng.uniform(0, 4), rng.uniform(0, 2)]) for _ in history]
     tpl, store = run_periods(history, targets)
     cut = generate_cut(store, history, targets[-1], tpl)
-    master = MasterProblem(cuts=[cut], design_cost=CW, target_box=BOX)
-    _, lb = solve_master(master)
+    _, lb = solve_master([cut], CW, BOX)
     for _ in range(10):
         w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
         assert lb <= phi_m(tpl, history, w) + 1e-8
@@ -243,23 +240,26 @@ def test_master_is_outer_approximation():
 
 def test_lower_bound_at_basics():
     c1 = Cut(alpha=0.0, beta=np.array([1.0, 0.0]), birth_period=1)
-    master = MasterProblem(cuts=[c1], design_cost=CW, target_box=BOX)
     w = np.array([2.0, 1.0])
-    assert lower_bound_at(master, w) == pytest.approx(c1.value_at(w, CW))
+    assert lower_bound_at([c1], CW, w) == pytest.approx(c1.value_at(w, CW))
     c2 = Cut(alpha=5.0, beta=np.array([0.0, 0.0]), birth_period=2)
-    master.cuts.append(c2)
-    assert lower_bound_at(master, w) >= c2.value_at(w, CW)
+    assert lower_bound_at([c1, c2], CW, w) >= c2.value_at(w, CW)
     with pytest.raises(EmptyCuts):
-        lower_bound_at(MasterProblem(cuts=[], design_cost=CW, target_box=BOX), w)
+        lower_bound_at([], CW, w)
     with pytest.raises(EmptyCuts):
-        solve_master(MasterProblem(cuts=[], design_cost=CW, target_box=BOX))
+        solve_master([], CW, BOX)
 
 
 def test_master_validation():
+    """The state checks the master's box and design cost once, before
+    the first targets."""
+    tpl = toy_template()
     with pytest.raises(ValueError, match="lo > hi"):
-        MasterProblem(cuts=[], design_cost=CW, target_box=np.array([[1.0, 0.0], [0.0, 1.0]]))
+        initial_state(tpl, CW, np.array([[1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="n_w"):
-        MasterProblem(cuts=[], design_cost=np.zeros(3), target_box=BOX)
+        initial_state(tpl, CW, BOX[:1])
+    with pytest.raises(ValueError, match="n_w"):
+        initial_state(tpl, np.zeros(3), BOX)
 
 
 def test_scenario_value_bound_tracks_store_growth():

@@ -29,9 +29,7 @@ class TinyData:
 def toy_template(matrix=W_TOY):
     n_rows, n_cols = matrix.shape
     return StageTemplate(
-        n_rows=n_rows,
         n_cols=n_cols,
-        n_x=1,
         coupling_T=T_TOY[:n_rows],
         cost_builder=lambda d: np.asarray(d.cost, dtype=float),
         rhs_builder=lambda d: np.asarray(d.rhs, dtype=float),
