@@ -7,7 +7,8 @@ Solves LPs in the standard equality form
 with a revised simplex method: dense LU factorization of the basis,
 product-form eta updates between refactorizations, Dantzig pricing with a
 Bland's-rule fallback once degenerate pivoting is detected, and a two-phase
-start with artificial variables.  The optimal basis doubles as a dual vertex
+start whose artificial columns carry the sign of their row's rhs, so the
+input is never rewritten.  The optimal basis doubles as a dual vertex
 certificate: the returned ``dual`` vector satisfies
 ``eq_matrix.T @ dual <= cost`` and ``dual @ eq_rhs == objective`` at
 optimality, which downstream cut generation relies on.
@@ -29,7 +30,7 @@ of the same data return bit-identical answers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -58,17 +59,10 @@ class UnboundedVariable(LPError):
     """canonicalize() requires every variable to have a finite lower bound."""
 
 
-def _as_2d(a, name):
+def _as_array(a, name, ndim):
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-d, got shape {a.shape}")
-    return a
-
-
-def _as_1d(a, name):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-d, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-d, got shape {a.shape}")
     return a
 
 
@@ -81,9 +75,9 @@ class StandardLP:
     eq_rhs: np.ndarray
 
     def __post_init__(self):
-        c = _as_1d(self.cost, "cost")
-        A = _as_2d(self.eq_matrix, "eq_matrix")
-        b = _as_1d(self.eq_rhs, "eq_rhs")
+        c = _as_array(self.cost, "cost", 1)
+        A = _as_array(self.eq_matrix, "eq_matrix", 2)
+        b = _as_array(self.eq_rhs, "eq_rhs", 1)
         if A.shape != (b.size, c.size):
             raise DimensionMismatch(
                 f"eq_matrix shape {A.shape} inconsistent with "
@@ -113,7 +107,6 @@ class LPSolution:
     dual: np.ndarray | None = None
     iterations: int = 0
     dropped_rows: tuple[int, ...] = ()
-    basis: np.ndarray | None = None
 
 
 class _Factor:
@@ -131,11 +124,13 @@ class _Factor:
         self.refactor()
 
     def refactor(self):
+        self.lu = None  # so that two factors never live at once
         try:
             # A singular basis only warns (an exactly zero pivot of U).
             with warnings.catch_warnings():
                 warnings.simplefilter("error", LinAlgWarning)
-                self.lu = lu_factor(self.A[:, self.basis])
+                # The gathered basis is a fresh array: factor it in place.
+                self.lu = lu_factor(self.A[:, self.basis], overwrite_a=True)
         except (LinAlgWarning, ValueError) as exc:  # ValueError: inf or NaN entries
             raise NumericalBreakdown(f"basis factorization failed: {exc}") from exc
         self.etas.clear()
@@ -164,18 +159,25 @@ class _Factor:
 _FEAS_TOL = 1e-7
 # Reduced costs above -_OPT_TOL * (1 + |c|) count as nonnegative.
 _OPT_TOL = 1e-9
-# Pivot element magnitudes below this are treated as zero in ratio tests.
+# Pivot elements at or below this are treated as zero, and so are those
+# at or below this fraction of their column's largest entry when skipping
+# them costs no more than _SKIP_TOL of primal feasibility.
 _PIVOT_TOL = 1e-9
+_SKIP_TOL = 1e-9
 # Steps below this count as degenerate for the Bland fallback trigger.
 _DEGEN_TOL = 1e-11
 _REFACTOR_EVERY = 60
 _BLAND_AFTER = 50
 
 
+def _pivot_floor(largest):
+    """Pivots at or below this are tiny beside a direction's `largest` entry."""
+    return _PIVOT_TOL * max(1.0, largest)
+
+
 def _run_simplex(A, b, c, basis, max_iter, start_iter=0):
     """Phase core: iterate from a basic feasible `basis` until optimal or
     unbounded. Returns (status, factor, x_basic, iterations)."""
-    m, n = A.shape
     fact = _Factor(A, basis)
     x_b = fact.ftran(b)
     tol_vec = _OPT_TOL * (1.0 + np.abs(c))
@@ -203,15 +205,21 @@ def _run_simplex(A, b, c, basis, max_iter, start_iter=0):
         else:
             q = int(np.argmin(reduced))
         u = fact.ftran(A[:, q])
-        pos = u > _PIVOT_TOL
-        if not pos.any():
+        rows_pos = np.flatnonzero(u > _PIVOT_TOL)
+        if rows_pos.size == 0:
             if fresh:
                 return LPStatus.UNBOUNDED, fact, x_b, it
             fact.refactor()
             x_b = fact.ftran(b)
             continue
-        ratios = np.maximum(x_b[pos], 0.0) / u[pos]
-        rows_pos = np.flatnonzero(pos)
+        ratios = np.maximum(x_b[rows_pos], 0.0) / u[rows_pos]
+        # Step past rows with a tiny pivot unless that drives one of their
+        # variables below -_SKIP_TOL; then every blocking row is a candidate.
+        big = u[rows_pos] > _pivot_floor(float(u.max()))
+        if not big.all():
+            tiny = rows_pos[~big]
+            if ratios[big].min() <= ((x_b[tiny] + _SKIP_TOL) / u[tiny]).min():
+                rows_pos, ratios = rows_pos[big], ratios[big]
         rmin = ratios.min()
         tie = ratios <= rmin + 1e-9 * (1.0 + rmin)
         cand_rows = rows_pos[tie]
@@ -238,135 +246,103 @@ def _run_simplex(A, b, c, basis, max_iter, start_iter=0):
         it += 1
 
 
-def _crash_basis(A, b, n):
-    """Unit columns (slacks) seed the start basis; artificial columns fill
-    the remaining rows. Returns (A_aug, c_phase1, basis, artificial_rows)."""
-    m = A.shape[0]
+def _phase_one(A, b, max_iter):
+    """Find a feasible basis of A y = b, y >= 0, without rewriting A or b.
+
+    Row i is seeded by a unit column whose nonzero equals sign(b_i) (+1
+    for b_i = 0), or else by the artificial column sign(b_i) e_i, so the
+    start x_B = |b| is feasible. Artificials left basic at zero level are
+    pivoted out; a row where none can be is linearly dependent and gets
+    dropped. Returns (basis, dropped_rows, iterations); the basis indexes
+    the kept rows' columns and is None when the problem is infeasible.
+    """
+    m, n = A.shape
+    sign = np.where(b < 0, -1.0, 1.0)
     basis = np.full(m, -1, dtype=int)
-    col_nnz = (A != 0.0).sum(axis=0)
-    unit_cols = np.flatnonzero(col_nnz == 1)
-    for j in unit_cols:
+    for j in np.flatnonzero((A != 0.0).sum(axis=0) == 1):
         i = int(np.argmax(A[:, j] != 0.0))
-        if A[i, j] == 1.0 and basis[i] < 0:
+        if A[i, j] == sign[i] and basis[i] < 0:
             basis[i] = j
     art_rows = np.flatnonzero(basis < 0)
-    n_art = art_rows.size
-    A_aug = np.hstack([A, np.zeros((m, n_art))])
-    for k, i in enumerate(art_rows):
-        A_aug[i, n + k] = 1.0
-        basis[i] = n + k
-    c1 = np.zeros(n + n_art)
+    if art_rows.size == 0:
+        return basis, (), 0
+    art_cols = n + np.arange(art_rows.size)
+    A1 = np.zeros((m, n + art_rows.size))
+    A1[:, :n] = A
+    A1[art_rows, art_cols] = sign[art_rows]
+    basis[art_rows] = art_cols
+    c1 = np.zeros(n + art_rows.size)
     c1[n:] = 1.0
-    return np.ascontiguousarray(A_aug), c1, basis, art_rows
+    status, fact, x_b, iterations = _run_simplex(A1, b, c1, basis, max_iter)
+    if status is not LPStatus.OPTIMAL:
+        raise NumericalBreakdown("phase 1 terminated unbounded")
+    art_pos = np.flatnonzero(basis >= n)
+    if x_b[art_pos].sum() > _FEAS_TOL * (1.0 + float(np.abs(b).max())):
+        return None, (), iterations
+
+    dropped = []
+    for pos in art_pos:
+        e = np.zeros(m)
+        e[pos] = 1.0
+        row = fact.btran(e) @ A
+        row[basis[basis < n]] = 0.0
+        # The first column whose pivot is not tiny beside its largest
+        # entry, else the first nonzero one: only a dependent row is dropped.
+        pivot = None
+        for j in np.flatnonzero(np.abs(row) > 1e-8):
+            u = fact.ftran(A[:, j])
+            if abs(u[pos]) > _pivot_floor(float(np.abs(u).max())):
+                pivot = j, u
+                break
+            if pivot is None and abs(u[pos]) > _PIVOT_TOL:
+                pivot = j, u
+        if pivot is None:
+            dropped.append(int(art_rows[basis[pos] - n]))
+        else:
+            basis[pos] = pivot[0]
+            fact.update(int(pos), pivot[1])
+    return basis[basis < n], tuple(sorted(dropped)), iterations
 
 
 def solve_lp(lp: StandardLP) -> LPSolution:
     """Solve a StandardLP.
 
     Returns an LPSolution whose ``status`` is OPTIMAL, INFEASIBLE or
-    UNBOUNDED.  On OPTIMAL, ``primal``, ``objective``, ``dual`` and
-    ``basis`` are set; ``dual`` has one entry per original row (zero for
-    rows dropped as linearly dependent, listed in ``dropped_rows``).
-    Linearly dependent consistent rows are detected in phase 1 and dropped
-    with a warning entry in ``dropped_rows``.
+    UNBOUNDED.  On OPTIMAL, ``primal``, ``objective`` and ``dual`` are
+    set; ``dual`` has one entry per row of ``lp``, in its row signs, and
+    zero for rows that phase 1 found linearly dependent and dropped
+    (listed in ``dropped_rows``).  The arrays of ``lp`` are never written.
     """
-    c_orig = lp.cost
-    A = lp.eq_matrix.copy()
-    b = lp.eq_rhs.copy()
+    A, b, c = lp.eq_matrix, lp.eq_rhs, lp.cost
     m, n = A.shape
     max_iter = 2000 + 40 * (m + n)
-
-    if m == 0:
-        # No constraints: optimum 0 at y = 0 unless some cost is negative.
-        if (c_orig < -_OPT_TOL * (1 + np.abs(c_orig))).any():
-            return LPSolution(LPStatus.UNBOUNDED)
+    basis, dropped, iterations = _phase_one(A, b, max_iter)
+    if basis is None:
+        return LPSolution(LPStatus.INFEASIBLE, iterations=iterations)
+    keep = np.ones(m, dtype=bool)
+    keep[list(dropped)] = False
+    if dropped:
+        A, b = A[keep], b[keep]
+    if basis.size == 0:
+        # No rows left: optimum 0 at y = 0 unless some cost is negative.
+        if (c < -_OPT_TOL * (1 + np.abs(c))).any():
+            return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
         return LPSolution(
-            LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(0), 0, (), np.zeros(0, int)
+            LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(m), iterations, dropped
         )
 
-    # Phase 1 wants nonnegative rhs; remember flipped rows to unflip duals.
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    A1, c1, basis, art_rows = _crash_basis(A, b, n)
-    iterations = 0
-    drop_rows: list[int] = []
-    if (basis >= n).any():
-        status, fact, x_b, iterations = _run_simplex(A1, b, c1, basis, max_iter)
-        if status is not LPStatus.OPTIMAL:
-            raise NumericalBreakdown("phase 1 terminated unbounded")
-        art_pos = np.flatnonzero(basis >= n)
-        art_sum = float(x_b[art_pos].sum()) if art_pos.size else 0.0
-        if art_sum > _FEAS_TOL * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return LPSolution(LPStatus.INFEASIBLE, iterations=iterations)
-
-        # Pivot residual zero-level artificials out; a position whose
-        # simplex row is zero over all real columns marks a linearly
-        # dependent row, which gets dropped.
-        for pos in art_pos:
-            rho = fact.btran(_unit(m, pos))
-            row = rho @ A
-            basic_set = set(int(j) for j in basis if j < n)
-            row[list(basic_set)] = 0.0
-            pivoted = False
-            for j in np.flatnonzero(np.abs(row) > 1e-8):
-                u = fact.ftran(A[:, int(j)])
-                if abs(u[pos]) > _PIVOT_TOL:
-                    basis[pos] = int(j)
-                    fact.update(int(pos), u)
-                    pivoted = True
-                    break
-            if not pivoted:
-                drop_rows.append(int(art_rows[basis[pos] - n]))
-
-    dropped: tuple[int, ...] = ()
-    if drop_rows:
-        dropped = tuple(sorted(drop_rows))
-        keep_mask = np.ones(m, dtype=bool)
-        keep_mask[list(dropped)] = False
-        new_basis = [int(j) for j in basis if j < n]
-        A = np.ascontiguousarray(A[keep_mask])
-        b = b[keep_mask]
-        flip = flip[keep_mask]
-        if A.shape[0] != len(new_basis):
-            raise NumericalBreakdown("row drop left an inconsistent basis")
-        basis = np.array(new_basis, dtype=int)
-        if A.shape[0] == 0:
-            if (c_orig < -_OPT_TOL * (1 + np.abs(c_orig))).any():
-                return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
-            return LPSolution(
-                LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(m), iterations,
-                dropped, basis,
-            )
-
     status, fact, x_b, iterations = _run_simplex(
-        A, b, c_orig, basis, max_iter, start_iter=iterations
+        A, b, c, basis, max_iter, start_iter=iterations
     )
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
-
     primal = np.zeros(n)
     primal[basis] = np.maximum(x_b, 0.0)
-    objective = float(c_orig @ primal)
-    pi = fact.btran(c_orig[basis])
-    # Undo row flips and reinsert zeros for dropped rows.
-    pi = np.where(flip, -pi, pi)
-    if dropped:
-        full = np.zeros(m)
-        keep_mask = np.ones(m, dtype=bool)
-        keep_mask[list(dropped)] = False
-        full[keep_mask] = pi
-        pi = full
+    dual = np.zeros(m)
+    dual[keep] = fact.btran(c[basis])
     return LPSolution(
-        LPStatus.OPTIMAL, primal, objective, pi, iterations, dropped, basis.copy()
+        LPStatus.OPTIMAL, primal, float(c @ primal), dual, iterations, dropped
     )
-
-
-def _unit(m, i):
-    e = np.zeros(m)
-    e[i] = 1.0
-    return e
 
 
 @dataclass(frozen=True)
@@ -384,14 +360,14 @@ class GeneralLP:
     upper: np.ndarray
 
     def __post_init__(self):
-        c = _as_1d(self.cost, "cost")
+        c = _as_array(self.cost, "cost", 1)
         n = c.size
-        Au = _as_2d(self.ub_matrix, "ub_matrix")
-        bu = _as_1d(self.ub_rhs, "ub_rhs")
-        Ae = _as_2d(self.eq_matrix, "eq_matrix")
-        be = _as_1d(self.eq_rhs, "eq_rhs")
-        lo = _as_1d(self.lower, "lower")
-        hi = _as_1d(self.upper, "upper")
+        Au = _as_array(self.ub_matrix, "ub_matrix", 2)
+        bu = _as_array(self.ub_rhs, "ub_rhs", 1)
+        Ae = _as_array(self.eq_matrix, "eq_matrix", 2)
+        be = _as_array(self.eq_rhs, "eq_rhs", 1)
+        lo = _as_array(self.lower, "lower", 1)
+        hi = _as_array(self.upper, "upper", 1)
         if Au.shape != (bu.size, n) or Ae.shape != (be.size, n):
             raise DimensionMismatch("constraint matrix shapes inconsistent with cost")
         if lo.size != n or hi.size != n:

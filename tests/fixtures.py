@@ -36,6 +36,10 @@ closed-loop fixture
     the overrun should be billed like a demand-charge exceedance, not
     at a numerics-guard rate that would swamp the realized-cost
     average with a constant of our own choosing.
+
+full-day fixture
+    Criterion 10's battery on a 24-step synthetic pool: stage LPs of
+    373 rows and 447 columns, the size the benchmark runs.
 """
 
 from dataclasses import replace
@@ -151,3 +155,20 @@ def equality_setup():
     pool = equality_pool()
     params = equality_params()
     return params, pool, target_box(params, max_load=400.0), design_cost(params)
+
+
+def full_day_setup(n_scenarios=5, seed=4242):
+    pool = synthetic_pool(n_steps=24, n_scenarios=n_scenarios, seed=seed)
+    base = BatteryParams(
+        capacity_Ebar=400.0,
+        discharge_Pbar=150.0,
+        charge_Punder=150.0,
+        fr_reserve_rho=0.5,
+        ramp_dPbar=200.0,
+        demand_charge_piD=0.5,
+        period_length_n=24,
+        elastic_penalty_M=50.0,
+    )
+    params = with_offset(base, pool)
+    max_load = float(max(d.load.max() for d in pool.support))
+    return params, pool, target_box(params, max_load), design_cost(params)

@@ -22,12 +22,13 @@ from fixtures import (
     EQUALITY_VALUE,
     closed_loop_setup,
     equality_setup,
+    full_day_setup,
     general_setup,
     settle_setup,
 )
 from test_lp import _random_standard_lp
 
-from hmpc.battery import BatteryParams, build_template, design_cost, target_box, with_offset
+from hmpc.battery import build_template
 from hmpc.controller import initial_state, run_simulation, running_cost, step_period
 from hmpc.cuts import scenario_value_bound
 from hmpc.lp import LPStatus, solve_lp
@@ -37,7 +38,7 @@ from hmpc.oracle import (
     solve_pool_saa,
     solve_saa,
 )
-from hmpc.scenarios import sample_period, stream, synthetic_pool
+from hmpc.scenarios import sample_period, stream
 from hmpc.stage import StageSolveCache, solve_stage
 
 
@@ -276,25 +277,11 @@ def test_criterion_09_targets_settle(settle_run, capsys):
 
 
 def test_criterion_10_full_day_scale(capsys):
-    pool = synthetic_pool(n_steps=24, n_scenarios=5, seed=4242)
-    params = with_offset(
-        BatteryParams(
-            capacity_Ebar=400.0,
-            discharge_Pbar=150.0,
-            charge_Punder=150.0,
-            fr_reserve_rho=0.5,
-            ramp_dPbar=200.0,
-            demand_charge_piD=0.5,
-            period_length_n=24,
-            elastic_penalty_M=50.0,
-        ),
-        pool,
-    )
+    params, pool, box, cw = full_day_setup()
     template = build_template(params)
-    box = target_box(params, float(max(d.load.max() for d in pool.support)))
     t0 = time.monotonic()
     sim = run_simulation(
-        template, design_cost(params), box, pool, periods=300, seed=7,
+        template, cw, box, pool, periods=300, seed=7,
         keep_planned=0, audit_full_until=100, audit_stride=5,
         track_overall_gap=False,
     )

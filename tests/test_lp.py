@@ -1,10 +1,15 @@
 """Solver unit tests: simplex core, duality certificates, canonicalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linprog
 
 from bruteforce import solve_by_enumeration
+from fixtures import full_day_setup
 from hmpc.lp import (
     DimensionMismatch,
     GeneralLP,
@@ -16,6 +21,10 @@ from hmpc.lp import (
     canonicalize,
     solve_lp,
 )
+from hmpc.battery import build_template
+from hmpc.stage import build_stage
+
+HIGHS_STATUS = {0: LPStatus.OPTIMAL, 2: LPStatus.INFEASIBLE, 3: LPStatus.UNBOUNDED}
 
 
 def test_two_variable_vertex_optimum():
@@ -233,3 +242,127 @@ def test_singular_basis_raises_instead_of_returning_nan():
     with pytest.raises(NumericalBreakdown, match="exactly zero"):
         _Factor(A, np.array([0, 1]))
     _Factor(A, np.array([0, 2]))
+
+
+@pytest.mark.parametrize(
+    "A, b, c, value",
+    [
+        # The entering column's large entry is negative: the row with the
+        # small positive one still blocks, at x3 = 0.2.
+        ([[1, 0, -1e10], [0, 1, 5]], [1, 1], [0, 0, -1], -0.2),
+        # Stepping past the pivot 1e-2 (1e-12 of the column) would drive
+        # the second slack to -9e-3: the row blocks, at x3 = 0.1.
+        ([[1, 0, 1e10], [0, 1, 1e-2]], [1e10, 1e-3], [0, 0, -1], -0.1),
+        # The artificial of row 2 leaves on a pivot 1e-10 of its column;
+        # dropping the row instead would give y = (0, 1e-10) and 0.
+        ([[1, 1e10], [0, -1]], [1, 0], [1, 0], 1.0),
+    ],
+    ids=["negative-large-entry", "tiny-binding-pivot", "tiny-drive-out-pivot"],
+)
+def test_relative_pivot_floor_keeps_the_answer(A, b, c, value):
+    lp = StandardLP(cost=np.array(c, float), eq_matrix=np.array(A, float),
+                    eq_rhs=np.array(b, float))
+    sol = solve_lp(lp)
+    assert sol.status is LPStatus.OPTIMAL
+    assert sol.dropped_rows == ()
+    assert sol.objective == pytest.approx(value, rel=1e-12)
+    absA = np.abs(lp.eq_matrix)
+    assert (np.abs(lp.eq_matrix @ sol.primal - lp.eq_rhs)
+            <= 1e-12 * (absA @ sol.primal + np.abs(lp.eq_rhs))).all()
+    assert lp.eq_rhs @ sol.dual == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="tolerances are absolute, not scaled by column")
+def test_absolute_tolerances_misjudge_a_1e9_column():
+    """With x0 basic in row 1, x3's direction is (1e-9, 1): the absolute
+    pivot tolerance ignores row 1, so x0 ends at -1e-9 and is clipped to 0,
+    which leaves row 1 short by 1 and prices x5 at 0 instead of 1."""
+    lp = StandardLP(
+        cost=np.array([0, 0, 0, 0, 0, 1.0]),
+        eq_matrix=np.array([[1e9, 0, 0, 1, 0, -1], [0, 0, 0, 1, 0, 0.0]]),
+        eq_rhs=np.array([0, 1.0]),
+    )
+    sol = solve_lp(lp)
+    assert sol.objective == pytest.approx(1.0)
+
+
+@st.composite
+def mixed_sign_lps(draw):
+    """Small LPs with mixed-sign rhs, +-1 unit columns, duplicated rows and
+    one column scaled by up to 1e6 (beyond that the absolute tolerances
+    misjudge some LPs; see test_absolute_tolerances_misjudge_a_1e9_column)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    small = st.integers(-5, 5).map(float)
+    A = draw(hnp.arrays(float, (m, n), elements=small))
+    b = draw(hnp.arrays(float, m, elements=small))
+    units = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m, max_size=m))
+    A = np.hstack([A, np.diag(units)[:, np.flatnonzero(units)]])
+    for src, factor, shift in draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.sampled_from([-2.0, -1.0, 1.0, 3.0]),
+                  st.sampled_from([0.0, 0.0, 1.0])),
+        max_size=2,
+    )):
+        A = np.vstack([A, factor * A[src]])
+        b = np.append(b, factor * b[src] + shift)
+    A[:, draw(st.integers(0, A.shape[1] - 1))] *= 10.0 ** draw(st.integers(0, 6))
+    c = draw(hnp.arrays(float, A.shape[1], elements=small))
+    return StandardLP(cost=c, eq_matrix=A, eq_rhs=b)
+
+
+def _assert_agrees_with_highs(lp):
+    """Solve `lp`; check it against HiGHS, its own primal and dual, and
+    its input."""
+    before = [a.copy() for a in (lp.cost, lp.eq_matrix, lp.eq_rhs)]
+    sol = solve_lp(lp)
+    for was, now in zip(before, (lp.cost, lp.eq_matrix, lp.eq_rhs)):
+        np.testing.assert_array_equal(now, was)
+    ref = linprog(lp.cost, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs, bounds=(0, None), method="highs")
+    assert sol.status is HIGHS_STATUS[ref.status], ref.message
+    if sol.status is not LPStatus.OPTIMAL:
+        return
+    scale = max(1.0, abs(ref.fun))
+    assert abs(sol.objective - ref.fun) <= 1e-7 * scale
+    # Rounding, plus a basic variable up to 1e-8 below zero that the
+    # solver clipped (on a 1e9 column that alone leaves a residual of 10).
+    absA = np.abs(lp.eq_matrix)
+    tol = 1e-7 * (1.0 + absA @ sol.primal + np.abs(lp.eq_rhs)) + 1e-8 * absA.sum(axis=1)
+    assert (np.abs(lp.eq_matrix @ sol.primal - lp.eq_rhs) <= tol).all()
+    slack = lp.cost - lp.eq_matrix.T @ sol.dual
+    assert slack.min() >= -1e-7 * (1.0 + np.abs(lp.cost).max())
+    assert abs(lp.eq_rhs @ sol.dual - sol.objective) <= 1e-7 * scale
+    assert (sol.dual[list(sol.dropped_rows)] == 0.0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_sign_lps())
+def test_random_lps_agree_with_highs(lp):
+    _assert_agrees_with_highs(lp)
+
+
+@pytest.fixture(scope="module")
+def full_day():
+    params, pool, box, _ = full_day_setup()
+    return build_template(params), pool, box
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 4), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_stage_lps_agree_with_highs(full_day, day, f0, f1):
+    template, pool, box = full_day
+    w = box[:, 0] + np.array([f0, f1]) * (box[:, 1] - box[:, 0])
+    _assert_agrees_with_highs(build_stage(template, w, pool.support[day]))
+
+
+def test_stage_solve_memory_stays_near_the_matrix(full_day):
+    """A solve holds phase 1's widened matrix or phase 2's basis factor
+    beside the caller's matrix: no working copy and no two factors."""
+    template, pool, box = full_day
+    lp = build_stage(template, box.mean(axis=1), pool.support[0])
+    tracemalloc.start()
+    try:
+        solve_lp(lp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * lp.eq_matrix.nbytes

@@ -2,18 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from fixtures import (
     EQUALITY_VALUE,
     SETTLE_VALUE,
     SETTLE_W_STAR,
     equality_setup,
+    full_day_setup,
     general_setup,
     settle_setup,
 )
 from toys import TinyData, toy_template
 
 from hmpc.battery import build_template
+from hmpc.lp import canonicalize, solve_general
 from hmpc.oracle import (
     OracleCapExceeded,
     reference_cost,
@@ -150,3 +153,25 @@ def test_reference_cost_matches_monte_carlo():
     )
     margin = 4 * draws.std(ddof=1) / np.sqrt(draws.size)
     assert abs(draws.mean() - exact) < margin
+
+
+def test_nonperiodic_window_with_a_tiny_pivot_matches_highs(monkeypatch):
+    """On these three days the ratio test meets a candidate pivot 1.5e-16
+    the size of its column; taking it leaves a basis that the next
+    refactorization finds singular."""
+    params, pool, box, cw = full_day_setup(n_scenarios=400, seed=0)
+    template = build_template(params)
+    days = list(pool.support[120:123])
+    forms = []
+
+    def keep_form(gen):
+        forms.append(gen)
+        return solve_general(gen)
+
+    monkeypatch.setattr("hmpc.oracle.solve_general", keep_form)
+    value, _ = solve_nonperiodic(template, days, cw)
+    assert np.isfinite(value)
+    assert value <= solve_saa(template, days, box, cw)[1]
+    std, vmap = canonicalize(forms[0])
+    ref = linprog(std.cost, A_eq=std.eq_matrix, b_eq=std.eq_rhs, bounds=(0, None), method="highs")
+    assert value == pytest.approx(vmap.original_objective(ref.fun), rel=1e-6)
