@@ -179,29 +179,23 @@ def build_template(params: BatteryParams) -> StageTemplate:
         ub[off_ramp_up + t, [iP[t + 1], iP[t]]] = 1.0, -1.0
         ub[off_ramp_dn + t, [iP[t], iP[t + 1]]] = 1.0, -1.0
 
-    base = GeneralLP(
-        cost=np.zeros(n_orig),
-        ub_matrix=ub,
-        ub_rhs=np.zeros(n_ub),
-        eq_matrix=eq,
-        eq_rhs=np.zeros(n_eq),
-        lower=lower,
-        upper=upper,
-    )
-    std0, var_map = canonicalize(base)
+    ub_rhs = np.zeros(n_ub)
+    ub_rhs[off_cap_up:off_cap_up + ns] = Pbar
+    ub_rhs[off_cap_dn:off_cap_dn + ns] = Punder
+    ub_rhs[off_res_hi:off_res_hi + ns] = Ebar
+    ub_rhs[off_res_hi_nx:off_res_hi_nx + n] = Ebar
+    ub_rhs[off_ramp_up:off_ramp_up + 2 * n] = params.ramp_dPbar
+    eq_rhs = np.zeros(n_eq)
+    eq_rhs[0] = params.cost_offset
+    # The day's load is the only rhs that varies: std0 holds the rest,
+    # already shifted to canonical variables.
+    std0, var_map = canonicalize(GeneralLP(
+        cost=np.zeros(n_orig), ub_matrix=ub, ub_rhs=ub_rhs, eq_matrix=eq, eq_rhs=eq_rhs,
+        lower=lower, upper=upper,
+    ))
     n_rows, n_cols = std0.n_rows, std0.n_cols
-    eq_shift = eq @ lower
-    ub_shift = ub @ lower
-    bound_rhs = upper[var_map.bound_cols] - lower[var_map.bound_cols]
-
-    ub_const = np.zeros(n_ub)
-    ub_const[off_cap_up:off_cap_up + ns] = Pbar
-    ub_const[off_cap_dn:off_cap_dn + ns] = Punder
-    ub_const[off_res_hi:off_res_hi + ns] = Ebar
-    ub_const[off_res_hi_nx:off_res_hi_nx + n] = Ebar
-    ub_const[off_ramp_up:off_ramp_up + 2 * n] = params.ramp_dPbar
-    eq_const = np.zeros(n_eq)
-    eq_const[0] = params.cost_offset
+    utility_rows = n + 3 + np.arange(ns)
+    market_rows = n_eq + off_market + np.arange(ns)
 
     coupling_T = np.zeros((n_rows, 2))
     coupling_T[[r_start, r_end], 0] = -1.0
@@ -209,11 +203,9 @@ def build_template(params: BatteryParams) -> StageTemplate:
     coupling_T[peak_rows, 1] = -1.0
 
     def rhs_builder(d: PeriodRealization) -> np.ndarray:
-        eq_rhs = eq_const.copy()
-        eq_rhs[n + 3:] = d.load
-        ub_rhs = ub_const.copy()
-        ub_rhs[off_market:off_market + ns] = d.load
-        out = np.concatenate([eq_rhs - eq_shift, ub_rhs - ub_shift, bound_rhs])
+        out = std0.eq_rhs.copy()
+        out[utility_rows] += d.load
+        out[market_rows] += d.load
         out.setflags(write=False)
         return out
 
@@ -230,7 +222,7 @@ def build_template(params: BatteryParams) -> StageTemplate:
         out = std0.eq_matrix.copy()
         steps = np.arange(n)
         out[1 + steps, iF[steps]] = -d.fr_request[:n]
-        out[n + 3 + np.arange(ns), iF] = -d.fr_request
+        out[utility_rows, iF] = -d.fr_request
         out.setflags(write=False)
         return out
 
@@ -238,9 +230,9 @@ def build_template(params: BatteryParams) -> StageTemplate:
         "offset": np.array([0]),
         "balance": 1 + np.arange(n),
         "boundary": np.array([r_start, r_end]),
-        "utility": n + 3 + np.arange(ns),
+        "utility": utility_rows,
         "peak": peak_rows,
-        "market": n_eq + off_market + np.arange(ns),
+        "market": market_rows,
     }
     col_tags = {
         "P": iP,

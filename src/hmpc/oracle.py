@@ -3,19 +3,24 @@
 Everything here prices targets by brute force instead of cuts:
 
 * ``solve_saa``        min over w of c_w'w + (1/m) sum h(w, d_xi), one LP.
+* ``solve_pool_saa``   the same over a pool's support, weighted by its
+  probabilities: the true stochastic-program optimum.
 * ``solve_nonperiodic`` same horizon without the periodicity coupling:
   the state chains across periods (continuity), the boundary targets
   disappear, and only the peak target survives as a shared column.
 * ``reference_cost``   exact finite-support expectation c_w'w + E[h(w, D)].
 
-The extensive forms reuse the stage template's canonical blocks, so
-values are directly comparable with stage solves and cut bounds (all in
-canonical variables; see StageTemplate.objective_shift for money).
+The three extensive forms come from one block assembler,
+``_solve_extensive``: shared target columns first, then one copy of the
+stage template's canonical block per day, optionally chained by
+state-link rows.  Values are therefore directly comparable with stage
+solves and cut bounds (all in canonical variables; see
+StageTemplate.objective_shift for money).
 
 Identical realizations collapse into one block with a multiplicity
 weight: h enters the average once per occurrence but needs solving only
 once per distinct class.  The block cap therefore limits distinct
-realizations for the periodic form; the non-periodic form chains
+realizations for the periodic forms; the non-periodic form chains
 per-period blocks in sequence and caps the raw horizon.
 """
 
@@ -34,32 +39,52 @@ class OracleCapExceeded(Exception):
     """The requested extensive form is larger than the configured cap."""
 
 
-def _weighted_saa(
+def _solve_extensive(
     template: StageTemplate,
-    reps: list,
-    weights: np.ndarray,
-    box: np.ndarray,
-    design_cost: np.ndarray,
+    days: list,
+    costs,
+    keep: np.ndarray,
+    shared_T: np.ndarray,
+    shared_cost: np.ndarray,
+    shared_box: np.ndarray,
     cap: int,
+    link: tuple[int, int, float] | None = None,
 ) -> tuple[np.ndarray, float]:
-    if len(reps) > cap:
-        raise OracleCapExceeded(f"{len(reps)} blocks exceed the cap of {cap}")
-    n_w = template.n_w
-    rows_b, cols_b = template.n_rows, template.n_cols
-    n_rows = len(reps) * rows_b
-    n_cols = n_w + len(reps) * cols_b
+    """Build, solve and map back one extensive form.
+
+    Block b holds the template rows ``keep`` and every template column
+    for ``days[b]``, priced at ``costs[b]``.  The shared columns come
+    first: they enter each block through ``shared_T``, are priced at
+    ``shared_cost`` and lie in ``shared_box``, one (lo, hi) row each.  With
+    ``link = (last, first, rhs)`` one row per consecutive pair of blocks
+    sets block b's column ``last`` minus block b+1's column ``first`` to
+    ``rhs``.  Returns the shared columns' values and the optimum, both in
+    original variables.
+    """
+    k = len(days)
+    if k > cap:
+        raise OracleCapExceeded(f"{k} blocks exceed the cap of {cap}")
+    n_s = shared_T.shape[1]
+    rows_b, cols_b = int(keep.sum()), template.n_cols
+    n_rows = k * rows_b + (k - 1 if link else 0)
+    n_cols = n_s + k * cols_b
     A = np.zeros((n_rows, n_cols))
     rhs = np.zeros(n_rows)
     cost = np.zeros(n_cols)
-    cost[:n_w] = design_cost
-    for b, (d, wt) in enumerate(zip(reps, weights)):
-        r0, c0 = b * rows_b, n_w + b * cols_b
-        A[r0:r0 + rows_b, :n_w] = template.coupling_T
-        A[r0:r0 + rows_b, c0:c0 + cols_b] = template.matrix_builder(d)
-        rhs[r0:r0 + rows_b] = template.rhs_builder(d)
-        cost[c0:c0 + cols_b] = wt * template.cost_builder(d)
-    lower = np.concatenate([box[:, 0], np.zeros(n_cols - n_w)])
-    upper = np.concatenate([box[:, 1], np.full(n_cols - n_w, np.inf)])
+    cost[:n_s] = shared_cost
+    for b, (d, c) in enumerate(zip(days, costs)):
+        r0, c0 = b * rows_b, n_s + b * cols_b
+        A[r0:r0 + rows_b, :n_s] = shared_T
+        A[r0:r0 + rows_b, c0:c0 + cols_b] = template.matrix_builder(d)[keep]
+        rhs[r0:r0 + rows_b] = template.rhs_builder(d)[keep]
+        cost[c0:c0 + cols_b] = c
+    if link:
+        last, first, link_rhs = link
+        for b in range(k - 1):
+            row = k * rows_b + b
+            A[row, n_s + b * cols_b + last] = 1.0
+            A[row, n_s + (b + 1) * cols_b + first] = -1.0
+            rhs[row] = link_rhs
     sol, vmap = solve_general(
         GeneralLP(
             cost=cost,
@@ -67,14 +92,23 @@ def _weighted_saa(
             ub_rhs=np.zeros(0),
             eq_matrix=A,
             eq_rhs=rhs,
-            lower=lower,
-            upper=upper,
+            lower=np.concatenate([shared_box[:, 0], np.zeros(k * cols_b)]),
+            upper=np.concatenate([shared_box[:, 1], np.full(k * cols_b, np.inf)]),
         )
     )
     if sol.status is not LPStatus.OPTIMAL:
         raise RuntimeError(f"extensive form came back {sol.status.name}")
     point = vmap.original_primal(sol.primal)
-    return point[:n_w].copy(), vmap.original_objective(sol.objective)
+    return point[:n_s].copy(), vmap.original_objective(sol.objective)
+
+
+def _weighted_saa(template, days, weights, box, design_cost, cap):
+    keep = np.ones(template.n_rows, dtype=bool)
+    costs = (wt * template.cost_builder(d) for d, wt in zip(days, weights))
+    return _solve_extensive(
+        template, days, costs, keep, template.coupling_T, design_cost,
+        np.asarray(box, float), cap,
+    )
 
 
 def solve_saa(
@@ -89,7 +123,7 @@ def solve_saa(
         raise ValueError("history is empty")
     reps, counts = collapse(history)
     weights = np.array(counts, dtype=float) / len(history)
-    return _weighted_saa(template, reps, weights, np.asarray(box, float), design_cost, cap)
+    return _weighted_saa(template, reps, weights, box, design_cost, cap)
 
 
 def solve_pool_saa(
@@ -100,9 +134,7 @@ def solve_pool_saa(
     cap: int = DEFAULT_CAP,
 ) -> tuple[np.ndarray, float]:
     """The true stochastic-program optimum over a finite-support pool."""
-    return _weighted_saa(
-        template, list(pool.support), pool.weights.copy(), np.asarray(box, float), design_cost, cap
-    )
+    return _weighted_saa(template, list(pool.support), pool.weights, box, design_cost, cap)
 
 
 def solve_nonperiodic(
@@ -123,55 +155,19 @@ def solve_nonperiodic(
     m = len(history)
     if m == 0:
         raise ValueError("history is empty")
-    if m > cap:
-        raise OracleCapExceeded(f"{m} periods exceed the cap of {cap}")
-    boundary = np.asarray(template.row_tags["boundary"], dtype=int)
-    sf = int(template.col_tags["state_first"][0])
-    sl = int(template.col_tags["state_last"][0])
     keep = np.ones(template.n_rows, dtype=bool)
-    keep[boundary] = False
+    keep[template.row_tags["boundary"]] = False
     if np.abs(template.coupling_T[keep, :-1]).max(initial=0.0) > 0:
         raise ValueError("state targets leak outside the boundary rows")
-    rows_b = int(keep.sum())
-    cols_b = template.n_cols
+    sf = int(template.col_tags["state_first"][0])
+    sl = int(template.col_tags["state_last"][0])
     lb = template.var_map.lower
-
-    n_rows = m * rows_b + m - 1
-    n_cols = 1 + m * cols_b  # shared peak column first
-    A = np.zeros((n_rows, n_cols))
-    rhs = np.zeros(n_rows)
-    cost = np.zeros(n_cols)
-    cost[0] = design_cost[-1]
-    t_peak = template.coupling_T[keep, -1]
-    for b, d in enumerate(history):
-        r0, c0 = b * rows_b, 1 + b * cols_b
-        A[r0:r0 + rows_b, 0] = t_peak
-        A[r0:r0 + rows_b, c0:c0 + cols_b] = template.matrix_builder(d)[keep]
-        rhs[r0:r0 + rows_b] = template.rhs_builder(d)[keep]
-        cost[c0:c0 + cols_b] = template.cost_builder(d) / m
-    for b in range(m - 1):
-        row = m * rows_b + b
-        A[row, 1 + b * cols_b + sl] = 1.0
-        A[row, 1 + (b + 1) * cols_b + sf] = -1.0
-        rhs[row] = lb[sf] - lb[sl]
-
-    lower = np.concatenate([[0.0], np.zeros(m * cols_b)])
-    upper = np.full(n_cols, np.inf)
-    sol, vmap = solve_general(
-        GeneralLP(
-            cost=cost,
-            ub_matrix=np.zeros((0, n_cols)),
-            ub_rhs=np.zeros(0),
-            eq_matrix=A,
-            eq_rhs=rhs,
-            lower=lower,
-            upper=upper,
-        )
+    peak, value = _solve_extensive(
+        template, history, (template.cost_builder(d) / m for d in history), keep,
+        template.coupling_T[keep, -1:], design_cost[-1:], np.array([[0.0, np.inf]]), cap,
+        link=(sl, sf, lb[sf] - lb[sl]),
     )
-    if sol.status is not LPStatus.OPTIMAL:
-        raise RuntimeError(f"non-periodic form came back {sol.status.name}")
-    point = vmap.original_primal(sol.primal)
-    return vmap.original_objective(sol.objective), float(point[0])
+    return value, float(peak[0])
 
 
 def reference_cost(

@@ -286,11 +286,45 @@ def test_absolute_tolerances_misjudge_a_1e9_column():
     assert sol.objective == pytest.approx(1.0)
 
 
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
+                   reason="tolerances are absolute, not scaled by column")
+def test_phase_one_takes_a_round_off_pivot_on_a_5e6_column():
+    """HiGHS finds this LP infeasible.  Phase 1's fifth pivot is a
+    round-off 1.1e-9 beside entries of -2.5e6 in the same direction, and
+    the next refactorization finds the basis singular."""
+    lp = StandardLP(
+        cost=np.zeros(8),
+        eq_matrix=np.array([
+            [0, 0, 0, 0, 0, 0, -1, 0],
+            [-3, 0, 5e6, 0, -4, 0, 0, 0],
+            [-2, 0, 0, 0, 2, 0, 0, -1],
+            [4, 0, -5e6, 0, 4, 0, 0, 0],
+            [-6, 0, 0, 0, 6, 0, 0, -3],
+        ]),
+        eq_rhs=np.array([0, -1, -1, -1, -3.0]),
+    )
+    assert solve_lp(lp).status is LPStatus.INFEASIBLE
+
+
+@pytest.mark.xfail(strict=True, raises=NumericalBreakdown,
+                   reason="tolerances are absolute, not scaled by column")
+def test_phase_one_calls_a_3e6_column_unbounded():
+    """HiGHS finds this LP infeasible; phase 1 reports itself unbounded."""
+    lp = StandardLP(
+        cost=np.zeros(2),
+        eq_matrix=np.array([[-3e6, 1], [3e6, -1], [-9e6, 3.0]]),
+        eq_rhs=np.array([0, 0, 1.0]),
+    )
+    assert solve_lp(lp).status is LPStatus.INFEASIBLE
+
+
 @st.composite
 def mixed_sign_lps(draw):
     """Small LPs with mixed-sign rhs, +-1 unit columns, duplicated rows and
-    one column scaled by up to 1e6 (beyond that the absolute tolerances
-    misjudge some LPs; see test_absolute_tolerances_misjudge_a_1e9_column)."""
+    one column scaled by up to 1e6.  The absolute tolerances misjudge a
+    few of these too: about one run of the test in 12 to 24 draws such an
+    LP (the strict xfails above pin one with a 5e6 and one with a 3e6
+    column), and more once the scale passes 1e6; see ROADMAP item 2."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
     small = st.integers(-5, 5).map(float)
