@@ -10,7 +10,9 @@ boundary, and the retroactive layer then
 3. prices the targets: running cost phi_m(w_m) by re-solving all m
    stage problems (memoized per distinct realization), lower bound
    from the cut envelope,
-4. minimizes the envelope over the target box, which yields w_{m+1}.
+4. minimizes the envelope over the target box, which yields w_{m+1};
+   the master LP starts from the cuts binding at the last optimum plus
+   the new cut and adds only the cuts its candidate violates.
 
 The gap records carry both the current gap eps_m (running cost vs its
 own lower bound) and, when the true distribution is available, the
@@ -74,7 +76,8 @@ class HierarchyState:
 
     Template, design cost and box are checked once, here; ``targets_w``
     defaults to mid-box.  The rest starts empty and only ``step_period``
-    grows it; the next period is ``len(history) + 1``.
+    grows it; the next period is ``len(history) + 1``.  ``working_set``
+    indexes the cuts binding at the last master optimum.
     """
 
     template: StageTemplate
@@ -84,6 +87,7 @@ class HierarchyState:
     store: VertexStore = field(init=False)
     cache: StageSolveCache = field(init=False)
     cuts: list = field(init=False, default_factory=list)
+    working_set: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=int))
     history: list = field(init=False, default_factory=list)
     realized_cost_accum: float = field(init=False, default=0.0)
 
@@ -154,7 +158,12 @@ def step_period(
     state.cuts.append(generate_cut(state.store, state.history, w_m, state.template))
 
     lb = lower_bound_at(state.cuts, state.design_cost, w_m)
-    w_next, master_bound = solve_master(state.cuts, state.design_cost, state.target_box)
+    w_next, master_bound, state.working_set = solve_master(
+        state.cuts,
+        state.design_cost,
+        state.target_box,
+        working=np.append(state.working_set, len(state.cuts) - 1),
+    )
 
     record = GapRecord(
         period=m,

@@ -11,7 +11,11 @@ valid (if looser) lower bound on the running sample average
 provided stage costs are nonnegative (see battery.suggested_cost_offset;
 controller.step_period refuses a negative one).  The master problem
 minimizes the cut envelope over the target box and hands the argmin to
-the next period.
+the next period.  Every cut is kept, but the master LP holds only a
+working set of them: the cuts binding at the last optimum plus the new
+one, and any cut the candidate violates, until none does.  Rescaling
+multiplies every cut by the same factor and leaves c_w'w alone, so it
+does not change which cuts bind.
 
 A stored vertex pi certifies pi'(r - Tw) <= h(w, d) only where pi is
 dual feasible, i.e. W(d)' pi <= c(d).  With random prices (and random
@@ -37,6 +41,9 @@ from hmpc.stage import StageTemplate
 _DEDUP_TOL = 1e-9
 # Relative slack of the dual feasibility check W(d)'pi <= c(d).
 _FEAS_TOL = 1e-9
+# A cut above the master's theta by more than this, relative to 1 + |theta|,
+# is violated; one within it of theta is binding.
+_MASTER_TOL = 1e-9
 
 
 class EmptyStore(Exception):
@@ -198,46 +205,66 @@ def scenario_value_bound(
     return float(np.max(vals[mask]))
 
 
+def _stack(cuts: list, design_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every cut as one row: intercepts (m,) and slopes c_w + beta (m, n_w)."""
+    alpha = np.array([c.alpha for c in cuts])
+    slopes = design_cost + np.array([c.beta for c in cuts])
+    return alpha, slopes
+
+
 def lower_bound_at(cuts: list, design_cost: np.ndarray, w: np.ndarray) -> float:
     """Envelope value max_j alpha_j + (c_w + beta_j)'w."""
     if not cuts:
         raise EmptyCuts("no cuts to evaluate")
-    w_vec = np.asarray(w, dtype=float)
-    return max(c.value_at(w_vec, design_cost) for c in cuts)
+    alpha, slopes = _stack(cuts, design_cost)
+    return float((alpha + slopes @ np.asarray(w, dtype=float)).max())
 
 
 def solve_master(
-    cuts: list, design_cost: np.ndarray, target_box: np.ndarray
-) -> tuple[np.ndarray, float]:
+    cuts: list, design_cost: np.ndarray, target_box: np.ndarray, working=()
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Minimize the envelope over the (n_w, 2) target box; returns
-    (next targets, lower bound).
+    (next targets, lower bound, binding cuts).
 
-    Epigraph form: min theta over the box with theta >= every cut, one
-    row per cut.  theta's lower bound is the largest of the cuts' minima
-    over the box; the envelope is nowhere below it on the box.
+    Epigraph form: min theta over the box with theta >= every cut.  The
+    LP holds one row per cut of a working set, starting from the indices
+    ``working`` into ``cuts``.  After each solve every cut is evaluated
+    at the candidate with one product; the cuts above theta by more than
+    _MASTER_TOL (1 + |theta|) join the rows and the LP is solved again.
+    When none is left the candidate is optimal over all cuts.  theta's
+    lower bound is the largest of all the cuts' minima over the box; the
+    envelope is nowhere below it on the box, so every round is bounded.
+    The binding cuts (sorted indices of the rows tight at the optimum)
+    are the working set to start the next master from.
     """
     if not cuts:
         raise EmptyCuts("master needs at least one cut")
     n_w = design_cost.size
-    alpha = np.array([c.alpha for c in cuts])
-    slopes = design_cost + np.array([c.beta for c in cuts])
+    alpha, slopes = _stack(cuts, design_cost)
     lo, hi = target_box[:, 0], target_box[:, 1]
     floor = float((alpha + np.minimum(slopes * lo, slopes * hi).sum(axis=1)).max())
     cost = np.zeros(n_w + 1)
     cost[n_w] = 1.0
-    sol, vmap = solve_general(
-        GeneralLP(
-            cost=cost,
-            ub_matrix=np.hstack([slopes, np.full((len(cuts), 1), -1.0)]),
-            ub_rhs=-alpha,
-            eq_matrix=np.zeros((0, n_w + 1)),
-            eq_rhs=np.zeros(0),
-            lower=np.append(lo, floor),
-            upper=np.append(hi, np.inf),
+    rows = np.unique(np.asarray(working, dtype=int))
+    while True:
+        sol, vmap = solve_general(
+            GeneralLP(
+                cost=cost,
+                ub_matrix=np.hstack([slopes[rows], np.full((rows.size, 1), -1.0)]),
+                ub_rhs=-alpha[rows],
+                eq_matrix=np.zeros((0, n_w + 1)),
+                eq_rhs=np.zeros(0),
+                lower=np.append(lo, floor),
+                upper=np.append(hi, np.inf),
+            )
         )
-    )
-    if sol.status is not LPStatus.OPTIMAL:
-        raise MasterInfeasible(f"master LP came back {sol.status.name}")
-    point = vmap.original_primal(sol.primal)
-    w_next = point[:n_w].copy()
-    return w_next, float(point[n_w])
+        if sol.status is not LPStatus.OPTIMAL:
+            raise MasterInfeasible(f"master LP came back {sol.status.name}")
+        point = vmap.original_primal(sol.primal)
+        w_next, theta = point[:n_w].copy(), float(point[n_w])
+        values = alpha + slopes @ w_next
+        tol = _MASTER_TOL * (1.0 + abs(theta))
+        violated = np.setdiff1d(np.flatnonzero(values > theta + tol), rows)
+        if violated.size == 0:
+            return w_next, theta, rows[values[rows] >= theta - tol]
+        rows = np.union1d(rows, violated)

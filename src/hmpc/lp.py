@@ -8,7 +8,8 @@ with a revised simplex method: dense LU factorization of the basis,
 product-form eta updates between refactorizations, Dantzig pricing with a
 Bland's-rule fallback once degenerate pivoting is detected, and a two-phase
 start whose artificial columns carry the sign of their row's rhs, so the
-input is never rewritten.  The optimal basis doubles as a dual vertex
+input is never rewritten, and dual simplex pivots where phase 2 ends
+optimal on a basis that phase 1 left slightly infeasible.  The optimal basis doubles as a dual vertex
 certificate: the returned ``dual`` vector satisfies
 ``eq_matrix.T @ dual <= cost`` and ``dual @ eq_rhs == objective`` at
 optimality, which downstream cut generation relies on.
@@ -304,6 +305,44 @@ def _phase_one(A, b, max_iter):
     return basis[basis < n], tuple(sorted(dropped)), iterations
 
 
+def _dual_pivots(A, b, c, basis, fact, x_b, it, max_iter):
+    """Dual simplex pivots from an optimal, so dual feasible, `basis`
+    until no basic variable is below -_SKIP_TOL.
+
+    Phase 1 may hand over a basis a little outside y >= 0 (within its
+    _FEAS_TOL), which phase 2 can find optimal without a pivot; clipping
+    such a variable to zero can skip a penalty the objective must pay.
+    Leaves on the most negative row, enters by the dual ratio test (ties
+    to the lowest column), and stops early if that row has no entering
+    column.  Updates `basis` in place; returns the iteration count.
+    """
+    while x_b.min() < -_SKIP_TOL:
+        if it > max_iter:
+            raise NumericalBreakdown(f"iteration limit {max_iter} exceeded")
+        r = int(np.argmin(x_b))
+        e = np.zeros(x_b.size)
+        e[r] = 1.0
+        row = fact.btran(e) @ A
+        row[basis] = 0.0
+        cand = np.flatnonzero(row < -_pivot_floor(float(np.abs(row).max())))
+        if cand.size == 0:
+            break
+        reduced = c[cand] - A[:, cand].T @ fact.btran(c[basis])
+        ratios = np.maximum(reduced, 0.0) / -row[cand]
+        q = int(cand[np.argmin(ratios)])
+        u = fact.ftran(A[:, q])
+        step = x_b[r] / u[r]
+        x_b = x_b - step * u
+        x_b[r] = step
+        basis[r] = q
+        fact.update(r, u)
+        if len(fact.etas) >= _REFACTOR_EVERY:
+            fact.refactor()
+            x_b = fact.ftran(b)
+        it += 1
+    return it
+
+
 def solve_lp(lp: StandardLP) -> LPSolution:
     """Solve a StandardLP.
 
@@ -331,11 +370,16 @@ def solve_lp(lp: StandardLP) -> LPSolution:
             LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(m), iterations, dropped
         )
 
-    status, fact, x_b, iterations = _run_simplex(
-        A, b, c, basis, max_iter, start_iter=iterations
-    )
-    if status is LPStatus.UNBOUNDED:
-        return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
+    while True:
+        status, fact, x_b, iterations = _run_simplex(
+            A, b, c, basis, max_iter, start_iter=iterations
+        )
+        if status is LPStatus.UNBOUNDED:
+            return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
+        pivoted = _dual_pivots(A, b, c, basis, fact, x_b, iterations, max_iter)
+        if pivoted == iterations:
+            break
+        iterations = pivoted
     primal = np.zeros(n)
     primal[basis] = np.maximum(x_b, 0.0)
     dual = np.zeros(m)

@@ -9,11 +9,15 @@ Solves min c@y s.t. Ay = b, y >= 0 by exhaustive basis enumeration:
    min c@z s.t. Az = 0, sum(z) = 1, z >= 0 (a bounded problem), which is
    negative exactly when an improving ray exists.
 
-Only intended for small instances (<= ~10 variables)."""
+Only intended for small instances (<= ~10 variables).
+
+``full_master`` is the reference for the cut master: the epigraph LP over
+every cut, solved by HiGHS."""
 
 from itertools import combinations
 
 import numpy as np
+from scipy.optimize import linprog
 
 from hmpc.lp import LPStatus
 
@@ -81,3 +85,22 @@ def solve_by_enumeration(cost, eq_matrix, eq_rhs):
         if ray_best is not None and ray_best < -1e-8:
             return LPStatus.UNBOUNDED, None
     return LPStatus.OPTIMAL, best
+
+
+def full_master(cuts, design_cost, box):
+    """min theta over the box s.t. theta >= alpha_j + (c_w + beta_j)'w for
+    every cut, by HiGHS; returns (w, theta)."""
+    n = design_cost.size
+    alpha = np.array([c.alpha for c in cuts])
+    slopes = design_cost + np.array([c.beta for c in cuts])
+    cost = np.zeros(n + 1)
+    cost[n] = 1.0
+    res = linprog(
+        cost,
+        A_ub=np.hstack([slopes, -np.ones((len(cuts), 1))]),
+        b_ub=-alpha,
+        bounds=[tuple(row) for row in box] + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.x[:n], float(res.fun)

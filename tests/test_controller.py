@@ -3,10 +3,21 @@
 import numpy as np
 import pytest
 
+import hmpc.controller
+import hmpc.cuts
+from bruteforce import full_master
 from fixtures import SETTLE_W_STAR, settle_setup
 from toys import TinyData, toy_template
 
-from hmpc.battery import BatteryParams, build_template, design_cost, target_box, with_offset
+from hmpc.battery import (
+    BatteryParams,
+    build_template,
+    design_cost,
+    load_params,
+    target_box,
+    with_offset,
+)
+from hmpc.cli import main
 from hmpc.controller import (
     NegativeStageCost,
     initial_state,
@@ -15,7 +26,7 @@ from hmpc.controller import (
     step_period,
 )
 from hmpc.oracle import solve_saa
-from hmpc.scenarios import sample_period, stream, synthetic_pool
+from hmpc.scenarios import load_pool, sample_period, stream, synthetic_pool
 from hmpc.stage import solve_stage
 
 TOY_BOX = np.array([[0.0, 4.0], [0.0, 2.0]])
@@ -127,14 +138,18 @@ def test_targets_settle_on_the_arbitrage_fixture():
     np.testing.assert_allclose(tail[-1], SETTLE_W_STAR, atol=2e-6)
 
 
-def test_overall_gap_closes_on_the_arbitrage_fixture():
+@pytest.fixture(scope="module")
+def arbitrage_run():
     params, pool, box, cw = settle_setup()
     template = build_template(params)
-    sim = run_simulation(
+    return run_simulation(
         template, cw, box, pool, periods=40, seed=3, keep_planned=0,
         track_overall_gap=True,
     )
-    last = sim.records[-1]
+
+
+def test_overall_gap_closes_on_the_arbitrage_fixture(arbitrage_run):
+    last = arbitrage_run.records[-1]
     assert last.overall_gap_epsbar is not None
     assert -1e-6 <= last.current_gap_eps < 0.01
     assert abs(last.overall_gap_epsbar) < 0.01
@@ -203,3 +218,63 @@ def test_negative_stage_cost_is_refused_before_it_is_stored():
     with pytest.raises(NegativeStageCost, match="period 1.*cost_offset"):
         step_period(state, TinyData(cost=(-1.0, 1.0, 1.0)))
     assert len(state.store) == 0 and not state.history and not state.cuts
+
+
+def test_every_audited_gap_is_nonnegative_on_the_arbitrage_fixture(arbitrage_run):
+    """The targets oscillate around the 810 kink; on its low side a stage
+    LP that clipped a phase-1 round-off skipped its elastic penalty, so
+    the running cost fell below its own lower bound (eps down to -2.4e-3
+    in 15 of the 40 periods)."""
+    audited = [r for r in arbitrage_run.records if r.current_gap_eps is not None]
+    assert len(audited) == 40
+    low = [(r.period, r.current_gap_eps) for r in audited if r.current_gap_eps < -1e-6]
+    assert not low
+
+
+@pytest.fixture(scope="module")
+def demo_masters(tmp_path_factory):
+    """300 periods on the demo data (`hmpc gen-data --steps 6 --scenarios 3
+    --seed 42`, demo.conf's seed and sigma, no audits), recording each
+    period's master bound beside the full master's, and the rows of every
+    master LP."""
+    data = tmp_path_factory.mktemp("demo_data")
+    args = ["gen-data", "--out", str(data), "--steps", "6", "--scenarios", "3", "--seed", "42"]
+    assert main(args) == 0
+    pool = load_pool(data / "pool.json")
+    params = load_params(data / "battery.kv")
+    box = target_box(params, float(max(d.load.max() for d in pool.support)))
+    bounds, rows = [], []
+    solve_master, solve_general = hmpc.controller.solve_master, hmpc.cuts.solve_general
+
+    def checked_master(cuts, cw, box, working=()):
+        out = solve_master(cuts, cw, box, working=working)
+        bounds.append((out[1], full_master(cuts, cw, box)[1]))
+        return out
+
+    def counted_lp(gen):
+        rows.append(gen.ub_rhs.size)
+        return solve_general(gen)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hmpc.controller, "solve_master", checked_master)
+        mp.setattr(hmpc.cuts, "solve_general", counted_lp)
+        run_simulation(
+            build_template(params), design_cost(params), box, pool, periods=300,
+            seed=3, forecast_sigma=0.1, audit_full_until=0, audit_stride=1000,
+            keep_planned=0, track_overall_gap=False,
+        )
+    return np.array(bounds), rows
+
+
+def test_working_set_master_matches_the_full_master_on_the_demo_stream(demo_masters):
+    bounds, _ = demo_masters
+    assert len(bounds) == 300
+    ours, full = bounds.T
+    assert (np.abs(ours - full) <= 1e-9 * np.maximum(1.0, np.abs(full))).all()
+
+
+def test_master_lps_stay_small_on_the_demo_stream(demo_masters):
+    """The full master would hand period m an LP of m cut rows; the
+    working set never holds more than 5 over the 300 periods."""
+    _, rows = demo_masters
+    assert max(rows) == 5

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from bruteforce import full_master
 from toys import TinyData, T_TOY, W_TOY, toy_template
 
 from hmpc.cuts import (
@@ -197,7 +198,7 @@ def test_rescaled_cut_still_bounds_grown_average():
 
 def test_master_single_cut_goes_to_lower_corner():
     cut = Cut(alpha=1.0, beta=np.array([0.5, 0.25]), birth_period=1)
-    w, lb = solve_master([cut], CW, BOX)
+    w, lb, _ = solve_master([cut], CW, BOX)
     np.testing.assert_allclose(w, BOX[:, 0], atol=1e-9)
     assert lb == pytest.approx(cut.value_at(BOX[:, 0], CW))
 
@@ -212,7 +213,7 @@ def test_master_matches_grid_search():
         )
         for j in range(5)
     ]
-    w, lb = solve_master(cuts, CW, BOX)
+    w, lb, _ = solve_master(cuts, CW, BOX)
     xs = np.linspace(BOX[0, 0], BOX[0, 1], 200)
     ys = np.linspace(BOX[1, 0], BOX[1, 1], 200)
     grid_best = min(
@@ -225,6 +226,55 @@ def test_master_matches_grid_search():
     assert lb == pytest.approx(lower_bound_at(cuts, CW, w), abs=1e-9)
 
 
+@st.composite
+def cut_sets(draw):
+    """Cuts on BOX with small integer data, then duplicate, parallel and
+    dominated copies of some, and a bundle of cuts through one point of
+    the box (a degenerate vertex); with a starting working set."""
+    small = st.integers(-4, 4).map(float)
+    cuts = [
+        Cut(alpha=a, beta=np.array([b0, b1]), birth_period=1)
+        for a, b0, b1 in draw(st.lists(st.tuples(small, small, small), min_size=1, max_size=5))
+    ]
+    for kind, src, shift in draw(st.lists(st.tuples(
+        st.sampled_from(["duplicate", "parallel", "dominated"]),
+        st.integers(0, 99),
+        st.sampled_from([-2.0, -0.5, 0.5, 1.0]),
+    ), max_size=4)):
+        c = cuts[src % len(cuts)]
+        if kind == "duplicate":
+            cuts.append(c)
+        elif kind == "parallel":
+            cuts.append(Cut(alpha=c.alpha + shift, beta=c.beta, birth_period=1))
+        else:  # flat, below c's minimum over the box
+            floor = c.alpha + np.minimum((CW + c.beta) * BOX[:, 0], (CW + c.beta) * BOX[:, 1]).sum()
+            cuts.append(Cut(alpha=floor - abs(shift), beta=-CW, birth_period=1))
+    bundle = draw(st.lists(st.tuples(small, small), max_size=4))
+    if bundle:
+        w0 = np.array([draw(st.integers(0, 4)), draw(st.integers(0, 2))], dtype=float)
+        v0 = draw(small)
+        for b0, b1 in bundle:
+            beta = np.array([b0, b1])
+            cuts.append(Cut(alpha=v0 - float((CW + beta) @ w0), beta=beta, birth_period=1))
+    working = [i % len(cuts) for i in draw(st.lists(st.integers(0, 99), max_size=4))]
+    return cuts, working
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut_sets())
+def test_working_set_master_matches_the_full_master(case):
+    """Exact over every cut, from any starting working set: the bound is
+    the full epigraph LP's, and the envelope at the targets equals it."""
+    cuts, working = case
+    w, lb, binding = solve_master(cuts, CW, BOX, working=working)
+    _, ref = full_master(cuts, CW, BOX)
+    assert abs(lb - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert abs(lower_bound_at(cuts, CW, w) - lb) <= 1e-9 * max(1.0, abs(lb))
+    assert ((w >= BOX[:, 0] - 1e-9) & (w <= BOX[:, 1] + 1e-9)).all()
+    values = np.array([c.value_at(w, CW) for c in cuts])
+    assert (np.abs(values[binding] - lb) <= 1e-9 * (1.0 + abs(lb))).all()
+
+
 def test_master_is_outer_approximation():
     rng = np.random.default_rng(5)
     pool = [TinyData(cost=(1.0, 3.0, 2.0)), TinyData(cost=(0.5, 2.0, 1.0))]
@@ -232,7 +282,7 @@ def test_master_is_outer_approximation():
     targets = [np.array([rng.uniform(0, 4), rng.uniform(0, 2)]) for _ in history]
     tpl, store = run_periods(history, targets)
     cut = generate_cut(store, history, targets[-1], tpl)
-    _, lb = solve_master([cut], CW, BOX)
+    _, lb, _ = solve_master([cut], CW, BOX)
     for _ in range(10):
         w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
         assert lb <= phi_m(tpl, history, w) + 1e-8
