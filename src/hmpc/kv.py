@@ -1,16 +1,19 @@
 """Flat ``key = value`` config files.
 
-One assignment per line; ``#`` starts a comment; values are kept as
+One assignment per line; ``#`` starts a comment at the start of a line
+or after whitespace, so a path may hold ``a#b``; values are kept as
 strings for the caller to coerce.  Quoted values lose their quotes.
 """
 
 from __future__ import annotations
 
+import re
+
 
 def parse_kv(text: str, source: str = "<string>") -> dict:
     doc: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -7,9 +7,12 @@ Solves LPs in the standard equality form
 with a revised simplex method: dense LU factorization of the basis,
 product-form eta updates between refactorizations, Dantzig pricing with a
 Bland's-rule fallback once degenerate pivoting is detected, and a two-phase
-start whose artificial columns carry the sign of their row's rhs, so the
-input is never rewritten, and dual simplex pivots where phase 2 ends
-optimal on a basis that phase 1 left slightly infeasible.  The optimal basis doubles as a dual vertex
+start.  One loop takes every pivot: primal pivots while a reduced cost is
+negative, then dual pivots while a basic variable is negative, as when
+phase 1 leaves one slightly below zero.  Phase 1 runs it on the caller's
+matrix: an artificial exists only as a basis entry past its columns,
+standing for a unit column with the sign of its row's rhs, so the input
+is never rewritten or copied.  The optimal basis doubles as a dual vertex
 certificate: the returned ``dual`` vector satisfies
 ``eq_matrix.T @ dual <= cost`` and ``dual @ eq_rhs == objective`` at
 optimality, which downstream cut generation relies on.
@@ -116,22 +119,34 @@ class _Factor:
     The basis after k pivots is B = B_hat @ E_1 @ ... @ E_k where B_hat is
     the matrix factored at the last refactorization and each
     E = I + (u - e_r) e_r^T replaces basis column r with ftran direction u.
+    A basis entry n + i past A's n columns is phase 1's artificial of row
+    i, the column sign(b_i) e_i.
     """
 
-    def __init__(self, A: np.ndarray, basis: np.ndarray):
+    def __init__(self, A: np.ndarray, basis: np.ndarray, b: np.ndarray):
         self.A = A
         self.basis = basis
+        self.b = b
         self.etas: list[tuple[int, np.ndarray]] = []
         self.refactor()
 
     def refactor(self):
         self.lu = None  # so that two factors never live at once
+        m, n = self.A.shape
+        art = np.flatnonzero(self.basis >= n)
+        if art.size == 0:
+            B = self.A[:, self.basis]
+        else:  # an artificial gathers a stand-in column, then becomes sign_i e_i
+            B = self.A[:, np.minimum(self.basis, n - 1)] if n else np.zeros((m, m))
+            rows = self.basis[art] - n
+            B[:, art] = 0.0
+            B[rows, art] = np.where(self.b[rows] < 0, -1.0, 1.0)
         try:
             # A singular basis only warns (an exactly zero pivot of U).
             with warnings.catch_warnings():
                 warnings.simplefilter("error", LinAlgWarning)
                 # The gathered basis is a fresh array: factor it in place.
-                self.lu = lu_factor(self.A[:, self.basis], overwrite_a=True)
+                self.lu = lu_factor(B, overwrite_a=True)
         except (LinAlgWarning, ValueError) as exc:  # ValueError: inf or NaN entries
             raise NumericalBreakdown(f"basis factorization failed: {exc}") from exc
         self.etas.clear()
@@ -151,6 +166,14 @@ class _Factor:
         for r, u in reversed(self.etas):
             y[r] = (y[r] - u @ y + u[r] * y[r]) / u[r]
         return lu_solve(self.lu, y, trans=1, check_finite=False)
+
+    def row(self, r: int) -> np.ndarray:
+        """Row r of B^-1 A, zero on the basic columns."""
+        e = np.zeros(self.basis.size)
+        e[r] = 1.0
+        row = self.btran(e) @ self.A
+        row[self.basis[self.basis < row.size]] = 0.0
+        return row
 
     def update(self, r: int, u: np.ndarray):
         self.etas.append((r, u.copy()))
@@ -176,67 +199,89 @@ def _pivot_floor(largest):
     return _PIVOT_TOL * max(1.0, largest)
 
 
+def _leaving_row(u, x_b, basis, bland):
+    """The primal ratio test along direction `u`: the row that leaves, or
+    None when no entry of `u` blocks (the direction is a ray)."""
+    rows_pos = np.flatnonzero(u > _PIVOT_TOL)
+    if rows_pos.size == 0:
+        return None
+    ratios = np.maximum(x_b[rows_pos], 0.0) / u[rows_pos]
+    # Step past rows with a tiny pivot unless that drives one of their
+    # variables below -_SKIP_TOL; then every blocking row is a candidate.
+    big = u[rows_pos] > _pivot_floor(float(u.max()))
+    if not big.all():
+        tiny = rows_pos[~big]
+        if ratios[big].min() <= ((x_b[tiny] + _SKIP_TOL) / u[tiny]).min():
+            rows_pos, ratios = rows_pos[big], ratios[big]
+    rmin = ratios.min()
+    tie = ratios <= rmin + 1e-9 * (1.0 + rmin)
+    cand_rows = rows_pos[tie]
+    if bland:
+        return int(cand_rows[np.argmin(basis[cand_rows])])
+    # Largest pivot magnitude for stability, then lowest row index.
+    return int(cand_rows[np.argmax(u[cand_rows])])
+
+
 def _run_simplex(A, b, c, basis, max_iter, start_iter=0):
-    """Phase core: iterate from a basic feasible `basis` until optimal or
-    unbounded. Returns (status, factor, x_basic, iterations)."""
-    fact = _Factor(A, basis)
+    """The one pivot loop: primal pivots while a reduced cost is negative;
+    once none is, on a fresh factorization, dual pivots while a basic
+    variable is below -_SKIP_TOL (the most negative leaves, the dual ratio
+    test picks the lowest entering column; a row without one ends the
+    loop).  So `basis` may be primal or dual feasible.  Entries of `c` past
+    A's columns cost phase 1's artificials: one that leaves never
+    re-enters.  Returns (status, factor, x_basic, iterations) and updates
+    `basis` in place."""
+    n = A.shape[1]
+    fact = _Factor(A, basis, b)
     x_b = fact.ftran(b)
     tol_vec = _OPT_TOL * (1.0 + np.abs(c))
+    reduced = np.zeros(c.size)  # stays 0 past A's columns: no artificial re-enters
     bland = False
     degen_run = 0
+    dual = False  # the last pass found no reduced cost negative
     it = start_iter
     while True:
         if it > max_iter:
             raise NumericalBreakdown(f"iteration limit {max_iter} exceeded")
         fresh = not fact.etas
         pi = fact.btran(c[basis])
-        reduced = c - A.T @ pi
+        np.subtract(c[:n], A.T @ pi, out=reduced[:n])
         reduced[basis] = 0.0
         viol = reduced < -tol_vec
-        if not viol.any():
+        if viol.any():
+            q = int(np.flatnonzero(viol)[0]) if bland else int(np.argmin(reduced))
+            u = fact.ftran(A[:, q])
+            r = _leaving_row(u, x_b, basis, bland)
+            verdict, dual = LPStatus.UNBOUNDED, False
+        else:
+            r, q = int(np.argmin(x_b)), None
+            if x_b[r] < -_SKIP_TOL and (fresh or dual):
+                row = fact.row(r)
+                cand = np.flatnonzero(row < -_pivot_floor(float(np.abs(row).max())))
+                if cand.size:
+                    ratios = np.maximum(reduced[cand], 0.0) / -row[cand]
+                    q = int(cand[np.argmin(ratios)])
+            verdict, dual = LPStatus.OPTIMAL, True
+        if r is None or q is None:
             if fresh:
-                return LPStatus.OPTIMAL, fact, x_b, it
-            # Only trust optimality verdicts on a fresh factorization: the
-            # eta chain drifts, and the final dual must be clean.
+                return verdict, fact, x_b, it
+            # Only trust verdicts on a fresh factorization: the eta chain
+            # drifts, and the final dual must be clean.
             fact.refactor()
             x_b = fact.ftran(b)
             continue
-        if bland:
-            q = int(np.flatnonzero(viol)[0])
+        if dual:
+            u = fact.ftran(A[:, q])
+            step = x_b[r] / u[r]
         else:
-            q = int(np.argmin(reduced))
-        u = fact.ftran(A[:, q])
-        rows_pos = np.flatnonzero(u > _PIVOT_TOL)
-        if rows_pos.size == 0:
-            if fresh:
-                return LPStatus.UNBOUNDED, fact, x_b, it
-            fact.refactor()
-            x_b = fact.ftran(b)
-            continue
-        ratios = np.maximum(x_b[rows_pos], 0.0) / u[rows_pos]
-        # Step past rows with a tiny pivot unless that drives one of their
-        # variables below -_SKIP_TOL; then every blocking row is a candidate.
-        big = u[rows_pos] > _pivot_floor(float(u.max()))
-        if not big.all():
-            tiny = rows_pos[~big]
-            if ratios[big].min() <= ((x_b[tiny] + _SKIP_TOL) / u[tiny]).min():
-                rows_pos, ratios = rows_pos[big], ratios[big]
-        rmin = ratios.min()
-        tie = ratios <= rmin + 1e-9 * (1.0 + rmin)
-        cand_rows = rows_pos[tie]
-        if bland:
-            r = int(cand_rows[np.argmin(basis[cand_rows])])
-        else:
-            # Largest pivot magnitude for stability, then lowest row index.
-            r = int(cand_rows[np.argmax(u[cand_rows])])
-        step = max(x_b[r], 0.0) / u[r]
-        if step < _DEGEN_TOL:
-            degen_run += 1
-            if degen_run >= _BLAND_AFTER:
-                bland = True
-        else:
-            degen_run = 0
-            bland = False
+            step = max(x_b[r], 0.0) / u[r]
+            if step < _DEGEN_TOL:
+                degen_run += 1
+                if degen_run >= _BLAND_AFTER:
+                    bland = True
+            else:
+                degen_run = 0
+                bland = False
         x_b = x_b - step * u
         x_b[r] = step
         basis[r] = q
@@ -251,11 +296,12 @@ def _phase_one(A, b, max_iter):
     """Find a feasible basis of A y = b, y >= 0, without rewriting A or b.
 
     Row i is seeded by a unit column whose nonzero equals sign(b_i) (+1
-    for b_i = 0), or else by the artificial column sign(b_i) e_i, so the
-    start x_B = |b| is feasible. Artificials left basic at zero level are
-    pivoted out; a row where none can be is linearly dependent and gets
-    dropped. Returns (basis, dropped_rows, iterations); the basis indexes
-    the kept rows' columns and is None when the problem is infeasible.
+    for b_i = 0), or else by its artificial, the basis entry n + i, so the
+    start x_B = |b| is feasible and the loop works on A itself. Artificials
+    left basic at zero level are pivoted out; a row where none can be is
+    linearly dependent and gets dropped. Returns (basis, dropped_rows,
+    iterations); the basis indexes the kept rows' columns and is None when
+    the problem is infeasible.
     """
     m, n = A.shape
     sign = np.where(b < 0, -1.0, 1.0)
@@ -267,14 +313,10 @@ def _phase_one(A, b, max_iter):
     art_rows = np.flatnonzero(basis < 0)
     if art_rows.size == 0:
         return basis, (), 0
-    art_cols = n + np.arange(art_rows.size)
-    A1 = np.zeros((m, n + art_rows.size))
-    A1[:, :n] = A
-    A1[art_rows, art_cols] = sign[art_rows]
-    basis[art_rows] = art_cols
-    c1 = np.zeros(n + art_rows.size)
+    basis[art_rows] = n + art_rows
+    c1 = np.zeros(n + m)
     c1[n:] = 1.0
-    status, fact, x_b, iterations = _run_simplex(A1, b, c1, basis, max_iter)
+    status, fact, x_b, iterations = _run_simplex(A, b, c1, basis, max_iter)
     if status is not LPStatus.OPTIMAL:
         raise NumericalBreakdown("phase 1 terminated unbounded")
     art_pos = np.flatnonzero(basis >= n)
@@ -283,10 +325,7 @@ def _phase_one(A, b, max_iter):
 
     dropped = []
     for pos in art_pos:
-        e = np.zeros(m)
-        e[pos] = 1.0
-        row = fact.btran(e) @ A
-        row[basis[basis < n]] = 0.0
+        row = fact.row(int(pos))
         # The first column whose pivot is not tiny beside its largest
         # entry, else the first nonzero one: only a dependent row is dropped.
         pivot = None
@@ -298,49 +337,11 @@ def _phase_one(A, b, max_iter):
             if pivot is None and abs(u[pos]) > _PIVOT_TOL:
                 pivot = j, u
         if pivot is None:
-            dropped.append(int(art_rows[basis[pos] - n]))
+            dropped.append(int(basis[pos] - n))
         else:
             basis[pos] = pivot[0]
             fact.update(int(pos), pivot[1])
     return basis[basis < n], tuple(sorted(dropped)), iterations
-
-
-def _dual_pivots(A, b, c, basis, fact, x_b, it, max_iter):
-    """Dual simplex pivots from an optimal, so dual feasible, `basis`
-    until no basic variable is below -_SKIP_TOL.
-
-    Phase 1 may hand over a basis a little outside y >= 0 (within its
-    _FEAS_TOL), which phase 2 can find optimal without a pivot; clipping
-    such a variable to zero can skip a penalty the objective must pay.
-    Leaves on the most negative row, enters by the dual ratio test (ties
-    to the lowest column), and stops early if that row has no entering
-    column.  Updates `basis` in place; returns the iteration count.
-    """
-    while x_b.min() < -_SKIP_TOL:
-        if it > max_iter:
-            raise NumericalBreakdown(f"iteration limit {max_iter} exceeded")
-        r = int(np.argmin(x_b))
-        e = np.zeros(x_b.size)
-        e[r] = 1.0
-        row = fact.btran(e) @ A
-        row[basis] = 0.0
-        cand = np.flatnonzero(row < -_pivot_floor(float(np.abs(row).max())))
-        if cand.size == 0:
-            break
-        reduced = c[cand] - A[:, cand].T @ fact.btran(c[basis])
-        ratios = np.maximum(reduced, 0.0) / -row[cand]
-        q = int(cand[np.argmin(ratios)])
-        u = fact.ftran(A[:, q])
-        step = x_b[r] / u[r]
-        x_b = x_b - step * u
-        x_b[r] = step
-        basis[r] = q
-        fact.update(r, u)
-        if len(fact.etas) >= _REFACTOR_EVERY:
-            fact.refactor()
-            x_b = fact.ftran(b)
-        it += 1
-    return it
 
 
 def solve_lp(lp: StandardLP) -> LPSolution:
@@ -370,16 +371,9 @@ def solve_lp(lp: StandardLP) -> LPSolution:
             LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(m), iterations, dropped
         )
 
-    while True:
-        status, fact, x_b, iterations = _run_simplex(
-            A, b, c, basis, max_iter, start_iter=iterations
-        )
-        if status is LPStatus.UNBOUNDED:
-            return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
-        pivoted = _dual_pivots(A, b, c, basis, fact, x_b, iterations, max_iter)
-        if pivoted == iterations:
-            break
-        iterations = pivoted
+    status, fact, x_b, iterations = _run_simplex(A, b, c, basis, max_iter, iterations)
+    if status is LPStatus.UNBOUNDED:
+        return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
     primal = np.zeros(n)
     primal[basis] = np.maximum(x_b, 0.0)
     dual = np.zeros(m)

@@ -193,3 +193,23 @@ def test_zero_audit_stride_exits_one(workdir, tmp_path, capsys):
     rc = main(["run", "--config", str(conf), "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "audit_stride" in capsys.readouterr().err
+
+
+def test_kv_keeps_a_hash_inside_a_value(tmp_path):
+    doc = {"pool_file": "/data/hash#dir/pool.json", "seed": "3"}
+    write_kv(tmp_path / "a.kv", doc)
+    assert read_kv(tmp_path / "a.kv") == doc
+    (tmp_path / "b.kv").write_text("# head\nseed = 3 # inline\nsigma = 0.1\t# tab\n")
+    assert read_kv(tmp_path / "b.kv") == {"seed": "3", "sigma": "0.1"}
+
+
+def test_gap_runs_in_a_directory_with_a_hash(tmp_path):
+    data = tmp_path / "hash#dir"
+    assert main(["gen-data", "--out", str(data), "--steps", "2",
+                 "--scenarios", "3", "--seed", "5"]) == 0
+    (data / "small.conf").write_text(
+        "pool_file = pool.json\nparams_file = battery.kv\nhorizon = 3\nseed = 9\n")
+    out = data / "run"
+    assert main(["run", "--config", str(data / "small.conf"), "--out", str(out)]) == 0
+    assert main(["gap", "--run-dir", str(out)]) == 0
+    assert len(read_rows(out / "gap.csv")) == 3
