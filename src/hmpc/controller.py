@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hmpc.cuts import (
+    Cut,
     VertexStore,
     generate_cut,
     lower_bound_at,
@@ -76,8 +77,12 @@ class HierarchyState:
 
     Template, design cost and box are checked once, here; ``targets_w``
     defaults to mid-box.  The rest starts empty and only ``step_period``
-    grows it; the next period is ``len(history) + 1``.  ``working_set``
-    indexes the cuts binding at the last master optimum.
+    grows it; the next period is ``len(history) + 1``.  The cuts are
+    ``cut_alpha`` (m,) and ``cut_beta`` (m, n_w) at the current scale,
+    row j-1 holding the cut born in period j.  Both are read-only and
+    every update assigns new arrays, so a row handed out earlier never
+    changes under its reader.  ``working_set`` indexes the cuts binding
+    at the last master optimum.
     """
 
     template: StageTemplate
@@ -86,7 +91,8 @@ class HierarchyState:
     targets_w: np.ndarray | None = None
     store: VertexStore = field(init=False)
     cache: StageSolveCache = field(init=False)
-    cuts: list = field(init=False, default_factory=list)
+    cut_alpha: np.ndarray = field(init=False)
+    cut_beta: np.ndarray = field(init=False)
     working_set: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=int))
     history: list = field(init=False, default_factory=list)
     realized_cost_accum: float = field(init=False, default=0.0)
@@ -107,6 +113,20 @@ class HierarchyState:
         self.targets_w = w
         self.store = VertexStore(n_rows=self.template.n_rows)
         self.cache = StageSolveCache(self.template)
+        self._set_cuts(np.zeros(0), np.zeros((0, n_w)))
+
+    def _set_cuts(self, alpha: np.ndarray, beta: np.ndarray) -> None:
+        alpha.setflags(write=False)
+        beta.setflags(write=False)
+        self.cut_alpha, self.cut_beta = alpha, beta
+
+    @property
+    def cuts(self) -> list:
+        """Every cut as a ``Cut``, oldest first, at the current scale."""
+        return [
+            Cut(alpha=a, beta=b, birth_period=j)
+            for j, (a, b) in enumerate(zip(self.cut_alpha.tolist(), self.cut_beta), start=1)
+        ]
 
 
 def initial_state(
@@ -154,15 +174,17 @@ def step_period(
     state.store.insert(res.dual_vertex, realized.key)
     state.history.append(realized)
 
-    state.cuts = rescale_cuts(state.cuts, m)
-    state.cuts.append(generate_cut(state.store, state.history, w_m, state.template))
+    alpha, beta = rescale_cuts(state.cut_alpha, state.cut_beta, m)
+    cut = generate_cut(state.store, state.history, w_m, state.template)
+    state._set_cuts(np.append(alpha, cut.alpha), np.vstack([beta, cut.beta]))
 
-    lb = lower_bound_at(state.cuts, state.design_cost, w_m)
+    slopes = state.design_cost + state.cut_beta
+    lb = lower_bound_at(state.cut_alpha, slopes, w_m)
     w_next, master_bound, state.working_set = solve_master(
-        state.cuts,
-        state.design_cost,
+        state.cut_alpha,
+        slopes,
         state.target_box,
-        working=np.append(state.working_set, len(state.cuts) - 1),
+        working=np.append(state.working_set, m - 1),
     )
 
     record = GapRecord(

@@ -9,13 +9,16 @@ valid (if looser) lower bound on the running sample average
     phi_m(w) = c_w'w + (1/m) sum_xi h(w, d_xi)
 
 provided stage costs are nonnegative (see battery.suggested_cost_offset;
-controller.step_period refuses a negative one).  The master problem
-minimizes the cut envelope over the target box and hands the argmin to
-the next period.  Every cut is kept, but the master LP holds only a
-working set of them: the cuts binding at the last optimum plus the new
-one, and any cut the candidate violates, until none does.  Rescaling
-multiplies every cut by the same factor and leaves c_w'w alone, so it
-does not change which cuts bind.
+controller.step_period refuses a negative one).  The cuts are kept as
+two stacked arrays, intercepts alpha (m,) and slopes beta (m, n_w), one
+row per cut in birth order; the envelope and the master take them with
+the design cost added to the slopes.  The master problem minimizes the
+cut envelope over the target box and hands the argmin to the next
+period.  Every cut is kept, but the master LP holds only a working set
+of them: the cuts binding at the last optimum plus the new one, and any
+cut the candidate violates, until none does.  Rescaling multiplies every
+cut by the same factor and leaves c_w'w alone, so it does not change
+which cuts bind.
 
 A stored vertex pi certifies pi'(r - Tw) <= h(w, d) only where pi is
 dual feasible, i.e. W(d)' pi <= c(d).  With random prices (and random
@@ -70,14 +73,6 @@ class Cut:
     beta: np.ndarray
     birth_period: int
 
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float).copy()
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-
-    def value_at(self, w: np.ndarray, design_cost: np.ndarray) -> float:
-        return self.alpha + float((design_cost + self.beta) @ np.asarray(w))
-
 
 class VertexStore:
     """Grow-only store of dual vertices with per-class certificates.
@@ -94,9 +89,6 @@ class VertexStore:
 
     def __len__(self) -> int:
         return self._V.shape[0]
-
-    def as_matrix(self) -> np.ndarray:
-        return self._V
 
     def _verdict(self, key) -> np.ndarray:
         old = self._verdicts.get(key, np.zeros(0, dtype=np.int8))
@@ -160,7 +152,7 @@ def generate_cut(
         raise ValueError("history is empty")
     w_vec = np.asarray(w, dtype=float)
     m = len(history)
-    V = store.as_matrix()
+    V = store._V
     T = template.coupling_T
     alpha = 0.0
     beta = np.zeros(template.n_w)
@@ -178,58 +170,33 @@ def generate_cut(
     return Cut(alpha=alpha, beta=beta, birth_period=m)
 
 
-def rescale_cuts(cuts: list, m: int) -> list:
-    """Shrink period-(m-1) cuts by (m-1)/m; the design cost is untouched
-    because it is added at evaluation, not stored."""
+def rescale_cuts(alpha: np.ndarray, beta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink the period-(m-1) cut arrays by (m-1)/m into new arrays; the
+    design cost is untouched because it is added at evaluation, not stored."""
     if m < 1:
         raise ValueError("period index must be positive")
     factor = (m - 1) / m
-    return [
-        Cut(alpha=c.alpha * factor, beta=c.beta * factor, birth_period=c.birth_period)
-        for c in cuts
-    ]
+    return alpha * factor, beta * factor
 
 
-def scenario_value_bound(
-    store: VertexStore, template: StageTemplate, d, w: np.ndarray
-) -> float:
-    """Best stored underestimate of h(w, d); -inf with no certificate."""
-    w_vec = np.asarray(w, dtype=float)
-    if len(store) == 0:
-        return -np.inf
-    mask = store.certified_mask(d, template)
-    if not mask.any():
-        return -np.inf
-    r = template.rhs_builder(d)
-    vals = store.as_matrix() @ (r - template.coupling_T @ w_vec)
-    return float(np.max(vals[mask]))
-
-
-def _stack(cuts: list, design_cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every cut as one row: intercepts (m,) and slopes c_w + beta (m, n_w)."""
-    alpha = np.array([c.alpha for c in cuts])
-    slopes = design_cost + np.array([c.beta for c in cuts])
-    return alpha, slopes
-
-
-def lower_bound_at(cuts: list, design_cost: np.ndarray, w: np.ndarray) -> float:
-    """Envelope value max_j alpha_j + (c_w + beta_j)'w."""
-    if not cuts:
+def lower_bound_at(alpha: np.ndarray, slopes: np.ndarray, w: np.ndarray) -> float:
+    """Envelope value max_j alpha_j + slopes_j'w, with slopes c_w + beta."""
+    if not len(alpha):
         raise EmptyCuts("no cuts to evaluate")
-    alpha, slopes = _stack(cuts, design_cost)
     return float((alpha + slopes @ np.asarray(w, dtype=float)).max())
 
 
 def solve_master(
-    cuts: list, design_cost: np.ndarray, target_box: np.ndarray, working=()
+    alpha: np.ndarray, slopes: np.ndarray, target_box: np.ndarray, working=()
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Minimize the envelope over the (n_w, 2) target box; returns
+    """Minimize the envelope of the cuts (intercepts ``alpha`` (m,),
+    slopes c_w + beta (m, n_w)) over the (n_w, 2) target box; returns
     (next targets, lower bound, binding cuts).
 
     Epigraph form: min theta over the box with theta >= every cut.  The
-    LP holds one row per cut of a working set, starting from the indices
-    ``working`` into ``cuts``.  After each solve every cut is evaluated
-    at the candidate with one product; the cuts above theta by more than
+    LP holds one row per cut of a working set, starting from the row
+    indices ``working``.  After each solve every cut is evaluated at the
+    candidate with one product; the cuts above theta by more than
     _MASTER_TOL (1 + |theta|) join the rows and the LP is solved again.
     When none is left the candidate is optimal over all cuts.  theta's
     lower bound is the largest of all the cuts' minima over the box; the
@@ -237,10 +204,9 @@ def solve_master(
     The binding cuts (sorted indices of the rows tight at the optimum)
     are the working set to start the next master from.
     """
-    if not cuts:
+    if not len(alpha):
         raise EmptyCuts("master needs at least one cut")
-    n_w = design_cost.size
-    alpha, slopes = _stack(cuts, design_cost)
+    n_w = slopes.shape[1]
     lo, hi = target_box[:, 0], target_box[:, 1]
     floor = float((alpha + np.minimum(slopes * lo, slopes * hi).sum(axis=1)).max())
     cost = np.zeros(n_w + 1)

@@ -2,27 +2,32 @@
 
 One assignment per line; ``#`` starts a comment at the start of a line
 or after whitespace, so a path may hold ``a#b``; values are kept as
-strings for the caller to coerce.  Quoted values lose their quotes.
+strings for the caller to coerce.  A quoted value loses its quotes and
+keeps everything between them, `` #`` included; ``write_kv`` quotes the
+values that need it.
 """
 
 from __future__ import annotations
 
 import re
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+# A whole value in quotes, then at most a comment.
+_QUOTED = re.compile(r"""\s*(["'])(.*?)\1(?:\s+#.*)?\s*""")
+
 
 def parse_kv(text: str, source: str = "<string>") -> dict:
     doc: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
-            value = value[1:-1]
+        quoted = _QUOTED.fullmatch(raw.partition("=")[2])
+        value = quoted[2] if quoted else value.strip()
         if not key:
             raise ValueError(f"{source}:{lineno}: empty key")
         if key in doc:
@@ -39,4 +44,6 @@ def read_kv(path) -> dict:
 def write_kv(path, doc: dict) -> None:
     with open(path, "w") as fh:
         for key, value in doc.items():
+            if _COMMENT.search(str(value)):
+                value = f'"{value}"'
             fh.write(f"{key} = {value}\n")

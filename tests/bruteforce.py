@@ -12,13 +12,17 @@ Solves min c@y s.t. Ay = b, y >= 0 by exhaustive basis enumeration:
 Only intended for small instances (<= ~10 variables).
 
 ``full_master`` is the reference for the cut master: the epigraph LP over
-every cut, solved by HiGHS."""
+every cut, solved by HiGHS.  ``chained_rescale`` is the reference for the
+cut arrays: one cut object per stored cut, each rescaled on its own every
+period.  ``scenario_value_bound`` reads the best stored underestimate of
+one stage cost."""
 
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
 
+from hmpc.cuts import Cut
 from hmpc.lp import LPStatus
 
 
@@ -87,20 +91,46 @@ def solve_by_enumeration(cost, eq_matrix, eq_rhs):
     return LPStatus.OPTIMAL, best
 
 
-def full_master(cuts, design_cost, box):
-    """min theta over the box s.t. theta >= alpha_j + (c_w + beta_j)'w for
-    every cut, by HiGHS; returns (w, theta)."""
-    n = design_cost.size
-    alpha = np.array([c.alpha for c in cuts])
-    slopes = design_cost + np.array([c.beta for c in cuts])
+def full_master(alpha, slopes, box):
+    """min theta over the box s.t. theta >= alpha_j + slopes_j'w for every
+    cut (slopes c_w + beta), by HiGHS; returns (w, theta)."""
+    n = slopes.shape[1]
     cost = np.zeros(n + 1)
     cost[n] = 1.0
     res = linprog(
         cost,
-        A_ub=np.hstack([slopes, -np.ones((len(cuts), 1))]),
+        A_ub=np.hstack([slopes, -np.ones((len(alpha), 1))]),
         b_ub=-alpha,
         bounds=[tuple(row) for row in box] + [(None, None)],
         method="highs",
     )
     assert res.status == 0, res.message
     return res.x[:n], float(res.fun)
+
+
+def chained_rescale(births):
+    """The cuts after the last period, from the cuts as each period
+    generated them: every period m rebuilds each standing cut scaled by
+    (m-1)/m, then appends its own.  Returns a list of ``Cut``."""
+    cuts = []
+    for m, cut in enumerate(births, start=1):
+        factor = (m - 1) / m
+        cuts = [
+            Cut(alpha=c.alpha * factor, beta=c.beta * factor, birth_period=c.birth_period)
+            for c in cuts
+        ]
+        cuts.append(cut)
+    return cuts
+
+
+def scenario_value_bound(store, template, d, w):
+    """Best stored underestimate of h(w, d); -inf with no certificate."""
+    w_vec = np.asarray(w, dtype=float)
+    if len(store) == 0:
+        return -np.inf
+    mask = store.certified_mask(d, template)
+    if not mask.any():
+        return -np.inf
+    r = template.rhs_builder(d)
+    vals = store._V @ (r - template.coupling_T @ w_vec)
+    return float(np.max(vals[mask]))

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bruteforce import solve_by_enumeration
+from bruteforce import scenario_value_bound, solve_by_enumeration
 from fixtures import (
     EQUALITY_VALUE,
     closed_loop_setup,
@@ -30,7 +30,6 @@ from test_lp import _random_standard_lp
 
 from hmpc.battery import build_template
 from hmpc.controller import initial_state, run_simulation, running_cost, step_period
-from hmpc.cuts import scenario_value_bound
 from hmpc.lp import LPStatus, solve_lp
 from hmpc.oracle import (
     reference_cost,
@@ -134,7 +133,7 @@ def test_criterion_02_cuts_stay_below_running_average(general_run, capsys):
             allowed = r.phi[m - 1, j] + 1e-6 * (1 + abs(r.phi[m - 1, j]))
             for cut in cuts:
                 checks += 1
-                val = cut.value_at(w, r.cw)
+                val = cut.alpha + float((r.cw + cut.beta) @ w)
                 if val > allowed:
                     failures.append(
                         f"m={m} birth={cut.birth_period} w={w}: {val} > {allowed}"

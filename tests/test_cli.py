@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hmpc.cli import main
-from hmpc.kv import read_kv, write_kv
+from hmpc.kv import parse_kv, read_kv, write_kv
 
 
 @pytest.fixture()
@@ -203,8 +203,16 @@ def test_kv_keeps_a_hash_inside_a_value(tmp_path):
     assert read_kv(tmp_path / "b.kv") == {"seed": "3", "sigma": "0.1"}
 
 
-def test_gap_runs_in_a_directory_with_a_hash(tmp_path):
-    data = tmp_path / "hash#dir"
+def test_kv_keeps_a_spaced_hash_inside_a_quoted_value(tmp_path):
+    doc = {"pool_file": "/data/run #2/pool.json", "tag": "#1", "seed": "3"}
+    write_kv(tmp_path / "a.kv", doc)
+    assert read_kv(tmp_path / "a.kv") == doc
+    text = 'a = "/data/run #2/pool.json" # c\nb = \'x #y\'\nc = /data/run #2/pool.json\n'
+    assert parse_kv(text) == {"a": "/data/run #2/pool.json", "b": "x #y", "c": "/data/run"}
+
+
+def _gen_run_gap(data):
+    """gen-data, run and gap with every file under ``data``."""
     assert main(["gen-data", "--out", str(data), "--steps", "2",
                  "--scenarios", "3", "--seed", "5"]) == 0
     (data / "small.conf").write_text(
@@ -213,3 +221,11 @@ def test_gap_runs_in_a_directory_with_a_hash(tmp_path):
     assert main(["run", "--config", str(data / "small.conf"), "--out", str(out)]) == 0
     assert main(["gap", "--run-dir", str(out)]) == 0
     assert len(read_rows(out / "gap.csv")) == 3
+
+
+def test_gap_runs_in_a_directory_with_a_hash(tmp_path):
+    _gen_run_gap(tmp_path / "hash#dir")
+
+
+def test_gap_runs_in_a_directory_with_a_spaced_hash(tmp_path):
+    _gen_run_gap(tmp_path / "run #2")

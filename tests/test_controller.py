@@ -5,7 +5,7 @@ import pytest
 
 import hmpc.controller
 import hmpc.cuts
-from bruteforce import full_master
+from bruteforce import chained_rescale, full_master
 from fixtures import SETTLE_W_STAR, settle_setup
 from toys import TinyData, toy_template
 
@@ -76,7 +76,8 @@ def test_first_period_cut_is_tight_at_its_targets():
     cut = state.cuts[0]
     grid = np.linspace(TOY_BOX[:, 0], TOY_BOX[:, 1], 41)
     best = min(
-        cut.value_at(np.array([a, b]), TOY_CW) for a in grid[:, 0] for b in grid[:, 1]
+        cut.alpha + float((TOY_CW + cut.beta) @ np.array([a, b]))
+        for a in grid[:, 0] for b in grid[:, 1]
     )
     assert rec.master_bound == pytest.approx(best, abs=1e-9)
     np.testing.assert_allclose(state.targets_w, rec.targets_next)
@@ -231,24 +232,68 @@ def test_every_audited_gap_is_nonnegative_on_the_arbitrage_fixture(arbitrage_run
     assert not low
 
 
+def test_cuts_handed_out_are_read_only_and_keep_their_values():
+    template = toy_template()
+    state = initial_state(template, TOY_CW, TOY_BOX, w1=np.array([1.0, 1.0]))
+    state, _ = step_period(state, TinyData(cost=(2.0, 1.0, 2.0)))
+    first = state.cuts[0]
+    with pytest.raises(ValueError, match="read-only"):
+        first.beta[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.cut_alpha[0] = 1.0
+    before = first.beta.copy()
+    state, _ = step_period(state, TinyData(cost=(1.0, 3.0, 2.0)))
+    np.testing.assert_array_equal(first.beta, before)
+    np.testing.assert_array_equal(state.cuts[0].beta, before * 0.5)
+
+
 @pytest.fixture(scope="module")
-def demo_masters(tmp_path_factory):
-    """300 periods on the demo data (`hmpc gen-data --steps 6 --scenarios 3
-    --seed 42`, demo.conf's seed and sigma, no audits), recording each
-    period's master bound beside the full master's, and the rows of every
-    master LP."""
+def demo_inputs(tmp_path_factory):
+    """Template, design cost, box and pool of the demo data (`hmpc gen-data
+    --steps 6 --scenarios 3 --seed 42`)."""
     data = tmp_path_factory.mktemp("demo_data")
     args = ["gen-data", "--out", str(data), "--steps", "6", "--scenarios", "3", "--seed", "42"]
     assert main(args) == 0
     pool = load_pool(data / "pool.json")
     params = load_params(data / "battery.kv")
     box = target_box(params, float(max(d.load.max() for d in pool.support)))
+    return build_template(params), design_cost(params), box, pool
+
+
+# demo.conf's seed and sigma, no audits
+DEMO_RUN = dict(
+    seed=3, forecast_sigma=0.1, audit_full_until=0, audit_stride=1000,
+    keep_planned=0, track_overall_gap=False,
+)
+
+
+def test_cut_arrays_equal_the_per_cut_rescale_on_the_demo_stream(demo_inputs, monkeypatch):
+    """The arrays hold, bit for bit, what rebuilding every cut object each
+    period gives from the same generated cuts."""
+    births, generate_cut = [], hmpc.controller.generate_cut
+
+    def recorded(*args):
+        births.append(generate_cut(*args))
+        return births[-1]
+
+    monkeypatch.setattr(hmpc.controller, "generate_cut", recorded)
+    state = run_simulation(*demo_inputs, periods=60, **DEMO_RUN).state
+    ref = chained_rescale(births)
+    np.testing.assert_array_equal(state.cut_alpha, [c.alpha for c in ref])
+    np.testing.assert_array_equal(state.cut_beta, [c.beta for c in ref])
+    assert [c.birth_period for c in state.cuts] == [c.birth_period for c in ref]
+
+
+@pytest.fixture(scope="module")
+def demo_masters(demo_inputs):
+    """300 periods on the demo data, recording each period's master bound
+    beside the full master's, and the rows of every master LP."""
     bounds, rows = [], []
     solve_master, solve_general = hmpc.controller.solve_master, hmpc.cuts.solve_general
 
-    def checked_master(cuts, cw, box, working=()):
-        out = solve_master(cuts, cw, box, working=working)
-        bounds.append((out[1], full_master(cuts, cw, box)[1]))
+    def checked_master(alpha, slopes, box, working=()):
+        out = solve_master(alpha, slopes, box, working=working)
+        bounds.append((out[1], full_master(alpha, slopes, box)[1]))
         return out
 
     def counted_lp(gen):
@@ -258,11 +303,7 @@ def demo_masters(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hmpc.controller, "solve_master", checked_master)
         mp.setattr(hmpc.cuts, "solve_general", counted_lp)
-        run_simulation(
-            build_template(params), design_cost(params), box, pool, periods=300,
-            seed=3, forecast_sigma=0.1, audit_full_until=0, audit_stride=1000,
-            keep_planned=0, track_overall_gap=False,
-        )
+        run_simulation(*demo_inputs, periods=300, **DEMO_RUN)
     return np.array(bounds), rows
 
 

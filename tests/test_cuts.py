@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from bruteforce import full_master
+from bruteforce import full_master, scenario_value_bound
 from toys import TinyData, T_TOY, W_TOY, toy_template
 
 from hmpc.cuts import (
@@ -12,7 +12,6 @@ from hmpc.cuts import (
     generate_cut,
     lower_bound_at,
     rescale_cuts,
-    scenario_value_bound,
     solve_master,
 )
 from hmpc.controller import initial_state
@@ -38,10 +37,16 @@ def phi_m(tpl, history, w):
     return float(CW @ w) + total / len(history)
 
 
+def stacked(cuts):
+    """The master's arrays for a list of cuts: intercepts (m,) and slopes
+    c_w + beta (m, n_w)."""
+    return np.array([c.alpha for c in cuts]), CW + np.array([c.beta for c in cuts]).reshape(-1, 2)
+
+
 def test_cut_value_includes_design_cost():
     cut = Cut(alpha=1.0, beta=np.array([0.5, -0.25]), birth_period=1)
     w = np.array([2.0, 4.0])
-    assert cut.value_at(w, CW) == pytest.approx(1.0 + 0.5 * 2 + 0.75 * 4)
+    assert cut.alpha + float((CW + cut.beta) @ w) == pytest.approx(1.0 + 0.5 * 2 + 0.75 * 4)
 
 
 def test_single_period_cut_is_exact_at_its_targets():
@@ -52,7 +57,7 @@ def test_single_period_cut_is_exact_at_its_targets():
     res = solve_stage(tpl, w, d)
     np.testing.assert_allclose(cut.alpha, res.dual_vertex @ np.asarray(d.rhs))
     np.testing.assert_allclose(cut.beta, -T_TOY.T @ res.dual_vertex)
-    assert cut.value_at(w, CW) == pytest.approx(
+    assert cut.alpha + float((CW + cut.beta) @ w) == pytest.approx(
         CW @ w + res.cost_h, abs=1e-9
     )
     assert cut.birth_period == 1
@@ -66,7 +71,7 @@ def test_two_period_cut_matches_hand_arithmetic():
     tpl, store = run_periods([d1, d2], [w1, w2])
     cut = generate_cut(store, [d1, d2], w2, tpl)
 
-    V = store.as_matrix()
+    V = store._V
     alpha_hand, beta_hand = 0.0, np.zeros(2)
     for d in (d1, d2):
         r = np.asarray(d.rhs)
@@ -95,7 +100,7 @@ def test_cut_is_valid_everywhere_in_box():
     cut = generate_cut(store, history, targets[-1], tpl)
     for _ in range(20):
         w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
-        bound = cut.value_at(w, CW)
+        bound = cut.alpha + float((CW + cut.beta) @ w)
         assert bound <= phi_m(tpl, history, w) + 1e-8
 
 
@@ -113,7 +118,7 @@ def test_infeasible_vertices_are_filtered():
     for x0 in np.linspace(0, 4, 9):
         for eta in np.linspace(0, 2, 5):
             probe = np.array([x0, eta])
-            assert cut.value_at(probe, CW) <= phi_m(
+            assert cut.alpha + float((CW + cut.beta) @ probe) <= phi_m(
                 tpl, [expensive, cheap], probe
             ) + 1e-8
 
@@ -154,25 +159,26 @@ def test_certified_mask_matches_a_fresh_check(ops):
             continue
         mask = store.certified_mask(d, tpl)
         c = np.asarray(d.cost)
-        fresh = (store.as_matrix() @ W_TOY <= c + 1e-9 * (1 + np.abs(c))).all(axis=1)
+        fresh = (store._V @ W_TOY <= c + 1e-9 * (1 + np.abs(c))).all(axis=1)
         np.testing.assert_array_equal(mask, fresh)
         assert all(mask[i] for i, j in inserted if j == k)
 
 
 def test_rescale_single_step():
-    cut = Cut(alpha=2.0, beta=np.array([-1.0, 0.0]), birth_period=1)
-    (scaled,) = rescale_cuts([cut], m=2)
-    assert scaled.alpha == pytest.approx(1.0)
-    np.testing.assert_allclose(scaled.beta, [-0.5, 0.0])
-    assert scaled.birth_period == 1
+    alpha, beta = np.array([2.0]), np.array([[-1.0, 0.0]])
+    scaled_alpha, scaled_beta = rescale_cuts(alpha, beta, m=2)
+    assert scaled_alpha[0] == pytest.approx(1.0)
+    np.testing.assert_allclose(scaled_beta, [[-0.5, 0.0]])
+    # new arrays; the old ones keep their values
+    assert alpha[0] == 2.0 and beta[0, 0] == -1.0
 
 
 def test_rescale_telescopes():
-    cut = Cut(alpha=3.0, beta=np.array([1.5, -3.0]), birth_period=3)
+    alpha, beta = np.array([3.0]), np.array([[1.5, -3.0]])
     for m in range(4, 7):
-        (cut,) = rescale_cuts([cut], m=m)
-    assert cut.alpha == pytest.approx(3.0 * 3 / 6)
-    np.testing.assert_allclose(cut.beta, np.array([1.5, -3.0]) * 0.5)
+        alpha, beta = rescale_cuts(alpha, beta, m=m)
+    assert alpha[0] == pytest.approx(3.0 * 3 / 6)
+    np.testing.assert_allclose(beta, np.array([[1.5, -3.0]]) * 0.5)
 
 
 def test_rescaled_cut_still_bounds_grown_average():
@@ -188,19 +194,20 @@ def test_rescaled_cut_still_bounds_grown_average():
     targets = [np.array([1.0, 0.5]), np.array([2.0, 1.0])]
     tpl, store = run_periods(history, targets)
     cut = generate_cut(store, history, targets[-1], tpl)
+    alpha, beta = np.array([cut.alpha]), cut.beta[None]
     for extra in range(3):
         history.append(pool[extra])
-        cut = rescale_cuts([cut], m=len(history))[0]
+        alpha, beta = rescale_cuts(alpha, beta, m=len(history))
         for _ in range(20):
             w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
-            assert cut.value_at(w, CW) <= phi_m(tpl, history, w) + 1e-8
+            assert alpha[0] + float((CW + beta[0]) @ w) <= phi_m(tpl, history, w) + 1e-8
 
 
 def test_master_single_cut_goes_to_lower_corner():
     cut = Cut(alpha=1.0, beta=np.array([0.5, 0.25]), birth_period=1)
-    w, lb, _ = solve_master([cut], CW, BOX)
+    w, lb, _ = solve_master(*stacked([cut]), BOX)
     np.testing.assert_allclose(w, BOX[:, 0], atol=1e-9)
-    assert lb == pytest.approx(cut.value_at(BOX[:, 0], CW))
+    assert lb == pytest.approx(cut.alpha + float((CW + cut.beta) @ BOX[:, 0]))
 
 
 def test_master_matches_grid_search():
@@ -213,17 +220,18 @@ def test_master_matches_grid_search():
         )
         for j in range(5)
     ]
-    w, lb, _ = solve_master(cuts, CW, BOX)
+    alpha, slopes = stacked(cuts)
+    w, lb, _ = solve_master(alpha, slopes, BOX)
     xs = np.linspace(BOX[0, 0], BOX[0, 1], 200)
     ys = np.linspace(BOX[1, 0], BOX[1, 1], 200)
     grid_best = min(
-        lower_bound_at(cuts, CW, np.array([x, y])) for x in xs for y in ys
+        lower_bound_at(alpha, slopes, np.array([x, y])) for x in xs for y in ys
     )
     assert lb <= grid_best + 1e-9
     cell = max(BOX[0, 1] - BOX[0, 0], BOX[1, 1] - BOX[1, 0]) / 199
     max_slope = max(np.abs(CW + c.beta).sum() for c in cuts)
     assert grid_best - lb <= max_slope * cell + 1e-9
-    assert lb == pytest.approx(lower_bound_at(cuts, CW, w), abs=1e-9)
+    assert lb == pytest.approx(lower_bound_at(alpha, slopes, w), abs=1e-9)
 
 
 @st.composite
@@ -266,12 +274,13 @@ def test_working_set_master_matches_the_full_master(case):
     """Exact over every cut, from any starting working set: the bound is
     the full epigraph LP's, and the envelope at the targets equals it."""
     cuts, working = case
-    w, lb, binding = solve_master(cuts, CW, BOX, working=working)
-    _, ref = full_master(cuts, CW, BOX)
+    alpha, slopes = stacked(cuts)
+    w, lb, binding = solve_master(alpha, slopes, BOX, working=working)
+    _, ref = full_master(alpha, slopes, BOX)
     assert abs(lb - ref) <= 1e-9 * max(1.0, abs(ref))
-    assert abs(lower_bound_at(cuts, CW, w) - lb) <= 1e-9 * max(1.0, abs(lb))
+    assert abs(lower_bound_at(alpha, slopes, w) - lb) <= 1e-9 * max(1.0, abs(lb))
     assert ((w >= BOX[:, 0] - 1e-9) & (w <= BOX[:, 1] + 1e-9)).all()
-    values = np.array([c.value_at(w, CW) for c in cuts])
+    values = np.array([c.alpha + float((CW + c.beta) @ w) for c in cuts])
     assert (np.abs(values[binding] - lb) <= 1e-9 * (1.0 + abs(lb))).all()
 
 
@@ -282,7 +291,7 @@ def test_master_is_outer_approximation():
     targets = [np.array([rng.uniform(0, 4), rng.uniform(0, 2)]) for _ in history]
     tpl, store = run_periods(history, targets)
     cut = generate_cut(store, history, targets[-1], tpl)
-    _, lb, _ = solve_master([cut], CW, BOX)
+    _, lb, _ = solve_master(*stacked([cut]), BOX)
     for _ in range(10):
         w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
         assert lb <= phi_m(tpl, history, w) + 1e-8
@@ -291,13 +300,15 @@ def test_master_is_outer_approximation():
 def test_lower_bound_at_basics():
     c1 = Cut(alpha=0.0, beta=np.array([1.0, 0.0]), birth_period=1)
     w = np.array([2.0, 1.0])
-    assert lower_bound_at([c1], CW, w) == pytest.approx(c1.value_at(w, CW))
+    assert lower_bound_at(*stacked([c1]), w) == pytest.approx(
+        c1.alpha + float((CW + c1.beta) @ w)
+    )
     c2 = Cut(alpha=5.0, beta=np.array([0.0, 0.0]), birth_period=2)
-    assert lower_bound_at([c1, c2], CW, w) >= c2.value_at(w, CW)
+    assert lower_bound_at(*stacked([c1, c2]), w) >= c2.alpha + float((CW + c2.beta) @ w)
     with pytest.raises(EmptyCuts):
-        lower_bound_at([], CW, w)
+        lower_bound_at(*stacked([]), w)
     with pytest.raises(EmptyCuts):
-        solve_master([], CW, BOX)
+        solve_master(*stacked([]), BOX)
 
 
 def test_master_validation():

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
@@ -364,7 +364,14 @@ def _assert_agrees_with_highs(lp):
     sol = solve_lp(lp)
     for was, now in zip(before, (lp.cost, lp.eq_matrix, lp.eq_rhs)):
         np.testing.assert_array_equal(now, was)
-    ref = linprog(lp.cost, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs, bounds=(0, None), method="highs")
+    # HiGHS's simplex can end with model status Unknown (linprog status
+    # 4); its interior-point method then gives the verdict.
+    for method in ("highs", "highs-ipm"):
+        ref = linprog(lp.cost, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs, bounds=(0, None), method=method)
+        if ref.status in HIGHS_STATUS:
+            break
+    else:
+        pytest.fail(f"HiGHS gives no verdict: {ref.message}")
     assert sol.status is HIGHS_STATUS[ref.status], ref.message
     if sol.status is not LPStatus.OPTIMAL:
         return
@@ -383,6 +390,18 @@ def _assert_agrees_with_highs(lp):
 
 @settings(max_examples=200, deadline=None)
 @given(mixed_sign_lps())
+# HiGHS's simplex returns status 4 (model status Unknown) here; infeasible
+# by its interior-point method and by solve_lp.
+@example(StandardLP(
+    cost=np.zeros(6),
+    eq_matrix=np.array([
+        [4.0, -5e6, 1.0, 0.0, 0.0, -1.0],
+        [0.0, 2e6, 1.0, 0.0, 1.0, 0.0],
+        [0.0, 1e6, -1.0, -1.0, 3.0, 0.0],
+        [-1.0, 3e6, 2.0, 0.0, 0.0, 0.0],
+    ]),
+    eq_rhs=np.array([0.0, 1.0, 0.0, 3.0]),
+))
 def test_random_lps_agree_with_highs(lp):
     _assert_agrees_with_highs(lp)
 
