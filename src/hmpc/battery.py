@@ -1,16 +1,20 @@
 """Battery running a frequency-regulation market position.
 
-One period covers n hourly steps.  Trajectories (n+1 samples each):
+The period LP is declared as two tables of indexed families, the way an
+algebraic modelling language declares one; ``build_template`` derives
+every column and row index, bound, rhs and tag from them.  One period
+covers n hourly steps.  Variable families, in column order under their
+column tags, with their widths:
 
-    P   net discharge offered to the energy market, kW, in [-Punder, Pbar]
-    F   regulation capacity offered, kW, in [0, Pbar]
-    E   state of charge, kWh, in [0, Ebar]
-    d   utility draw, kW, nonnegative
-    s   elastic peak slack, kW, nonnegative, penalized at M
+    P           n+1  net discharge to the energy market, kW, in [-Punder, Pbar]
+    F           n+1  regulation capacity offered, kW, in [0, Pbar]
+    E           n+1  state of charge, kWh, in [0, Ebar]
+    d_util      n+1  utility draw, kW, nonnegative
+    peak_slack  n+1  elastic peak slack s, kW, nonnegative, penalized at M
+    offset_var  1    anchor pinning the constant ``cost_offset``, nonnegative
 
-plus one anchor variable pinning the constant ``cost_offset``.  The hourly
-revenue is pi_e*(P - alpha*F) + pi_f*F (regulation dispatch claws back
-alpha*F of the energy sale), so the stage cost is
+The hourly revenue is pi_e*(P - alpha*F) + pi_f*F (regulation dispatch
+claws back alpha*F of the energy sale), so the stage cost is
 
     sum_t [ -pi_e_t (P_t - alpha_t F_t) - pi_f_t F_t ] + M*sum(s) + offset.
 
@@ -18,23 +22,31 @@ The demand charge pi_D * D is deliberately NOT in the stage cost: the
 peak bound D is a coupling target priced by the design cost, and stages
 see it only through their peak rows.
 
-Constraint rows, t over all samples unless noted (steps t = 0..n-1):
+Constraint families, in row order under their row tags, with their row
+counts; t runs over all samples, or over the steps t = 0..n-1 where the
+count is n:
 
-    balance (steps)        E_{t+1} - E_t + P_t - alpha_t F_t = 0
-    boundary               E_0 = x0,  E_n = x0
-    utility                d_t + P_t - alpha_t F_t = L_t
-    cap_up / cap_dn        P_t + F_t <= Pbar,   -P_t + F_t <= Punder
-    reserve at t           rho F_t <= E_t <= Ebar - rho F_t
-    reserve at t+1 (steps) rho F_t <= E_{t+1} <= Ebar - rho F_t
-    ramp (steps)           |P_{t+1} - P_t| <= dPbar
-    peak                   d_t - s_t <= D
-    market                 P_t + F_t <= L_t
+    offset      1    offset_var = cost_offset
+    balance     n    E_{t+1} - E_t + P_t - alpha_t F_t = 0
+    boundary    2    E_0 = x0,  E_n = x0
+    utility     n+1  d_t + P_t - alpha_t F_t = L_t
+    cap_up      n+1  P_t + F_t <= Pbar
+    cap_dn      n+1  -P_t + F_t <= Punder
+    res_lo      n+1  rho F_t - E_t <= 0
+    res_hi      n+1  rho F_t + E_t <= Ebar
+    res_lo_nx   n    rho F_t - E_{t+1} <= 0
+    res_hi_nx   n    rho F_t + E_{t+1} <= Ebar
+    ramp_up     n    P_{t+1} - P_t <= dPbar
+    ramp_dn     n    P_t - P_{t+1} <= dPbar
+    peak        n+1  d_t - s_t <= D
+    market      n+1  P_t + F_t <= L_t
 
-The coupling matrix has -1 entries in the boundary rows (x0 column) and
-the peak rows (D column); everything else is independent of the targets.
-The regulation fraction alpha is the only piece of period data that
-lands in the constraint matrix, so realizations sharing an alpha vector
-share a matrix.
+The first four are equalities, the rest inequalities.  The coupling
+matrix has -1 entries in the boundary rows (x0 column) and the peak rows
+(D column); everything else is independent of the targets.  The
+regulation fraction alpha is the only piece of period data that lands in
+the constraint matrix, so realizations sharing an alpha vector share a
+matrix.
 
 Structural table (canonical form, n steps):
 
@@ -46,7 +58,8 @@ Structural table (canonical form, n steps):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,6 +67,13 @@ from hmpc.kv import read_kv, write_kv
 from hmpc.lp import GeneralLP, canonicalize
 from hmpc.scenarios import PeriodRealization, ScenarioPool
 from hmpc.stage import StageResult, StageTemplate
+
+# In the constraint tables a coefficient is a number or _ALPHA, the day's
+# -alpha_t of the column's step; a rhs is a number, _LOAD (the day's load)
+# or a target name, which puts -1 in that row's column of coupling_T.
+_ALPHA = "-alpha"
+_LOAD = "load"
+_TARGETS = ("x0", "D")
 
 
 class InvalidParams(ValueError):
@@ -82,18 +102,10 @@ class BatteryParams:
     def __post_init__(self):
         if self.elastic_penalty_M is None:
             object.__setattr__(self, "elastic_penalty_M", 1e3 * self.demand_charge_piD)
-        for name in (
-            "capacity_Ebar",
-            "discharge_Pbar",
-            "charge_Punder",
-            "fr_reserve_rho",
-            "ramp_dPbar",
-            "demand_charge_piD",
-            "elastic_penalty_M",
-            "cost_offset",
-        ):
-            if getattr(self, name) < 0:
-                raise InvalidParams(f"{name} must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidParams(f"{f.name} must be finite and nonnegative")
         if self.period_length_n < 1:
             raise InvalidParams("period_length_n must be at least 1")
         if self.fr_reserve_rho > 0 and self.capacity_Ebar <= 0:
@@ -109,141 +121,121 @@ class BatteryTrajectory:
     peak_slack: np.ndarray
 
 
+def _stack(families, n_orig: int):
+    """Rows of a constraint table, stacked in table order.
+
+    Returns the matrix (_ALPHA entries left zero), the constant rhs, each
+    family's row indices and the (rows, cols) of the _ALPHA entries.
+    """
+    blocks, rhs, rows = [], [], {}
+    alpha_rows, alpha_cols = [], []
+    start = 0
+    for name, terms, b in families:
+        k = len(terms[0][1])
+        r = np.arange(start, start + k)
+        rows[name] = r
+        start += k
+        block = np.zeros((k, n_orig))
+        for coef, cols in terms:
+            if coef == _ALPHA:
+                alpha_rows.append(r)
+                alpha_cols.append(cols)
+            else:
+                block[np.arange(k), cols] = coef
+        blocks.append(block)
+        rhs.append(np.zeros(k) if isinstance(b, str) else np.full(k, b))
+    alpha = (np.concatenate(alpha_rows), np.concatenate(alpha_cols))
+    return np.vstack(blocks), np.concatenate(rhs), rows, alpha
+
+
 def build_template(params: BatteryParams) -> StageTemplate:
     """Compile params into an immutable stage template.
 
     Each builder call assembles a fresh read-only array from the
     realization; the template keeps nothing per realization.
     """
-    n = params.period_length_n
-    ns = n + 1
+    ns = params.period_length_n + 1
     Pbar = params.discharge_Pbar
     Punder = params.charge_Punder
     Ebar = params.capacity_Ebar
     rho = params.fr_reserve_rho
+    dP = params.ramp_dPbar
 
-    iP = np.arange(ns)
-    iF = ns + iP
-    iE = 2 * ns + iP
-    iD = 3 * ns + iP
-    iS = 4 * ns + iP
-    i_off = 5 * ns
-    n_orig = 5 * ns + 1
+    variables = (
+        ("P", ns, -Punder, Pbar),
+        ("F", ns, 0.0, Pbar),
+        ("E", ns, 0.0, Ebar),
+        ("d_util", ns, 0.0, np.inf),
+        ("peak_slack", ns, 0.0, np.inf),
+        ("offset_var", 1, 0.0, np.inf),
+    )
+    starts = np.cumsum([0] + [size for _, size, _, _ in variables])
+    col = {name: np.arange(s, s + size) for (name, size, _, _), s in zip(variables, starts)}
+    n_orig = int(starts[-1])
+    lower = np.concatenate([np.full(size, lo) for _, size, lo, _ in variables])
+    upper = np.concatenate([np.full(size, up) for _, size, _, up in variables])
 
-    lower = np.zeros(n_orig)
-    lower[iP] = -Punder
-    upper = np.full(n_orig, np.inf)
-    upper[iP] = Pbar
-    upper[iF] = Pbar
-    upper[iE] = Ebar
-
-    n_eq = 2 * n + 4
-    eq = np.zeros((n_eq, n_orig))
-    eq[0, i_off] = 1.0
-    for t in range(n):
-        r = 1 + t
-        eq[r, iE[t + 1]] = 1.0
-        eq[r, iE[t]] = -1.0
-        eq[r, iP[t]] = 1.0
-        # alpha entry on iF[t] patched per realization
-    r_start, r_end = n + 1, n + 2
-    eq[r_start, iE[0]] = 1.0
-    eq[r_end, iE[n]] = 1.0
-    for t in range(ns):
-        r = n + 3 + t
-        eq[r, iD[t]] = 1.0
-        eq[r, iP[t]] = 1.0
-
-    n_ub = 10 * n + 6
-    ub = np.zeros((n_ub, n_orig))
-    off_cap_up = 0
-    off_cap_dn = ns
-    off_res_lo = 2 * ns
-    off_res_hi = 3 * ns
-    off_res_lo_nx = 4 * ns
-    off_res_hi_nx = 4 * ns + n
-    off_ramp_up = 4 * ns + 2 * n
-    off_ramp_dn = 4 * ns + 3 * n
-    off_peak = 4 * ns + 4 * n
-    off_market = 5 * ns + 4 * n
-    for t in range(ns):
-        ub[off_cap_up + t, [iP[t], iF[t]]] = 1.0, 1.0
-        ub[off_cap_dn + t, [iP[t], iF[t]]] = -1.0, 1.0
-        ub[off_res_lo + t, [iF[t], iE[t]]] = rho, -1.0
-        ub[off_res_hi + t, [iF[t], iE[t]]] = rho, 1.0
-        ub[off_peak + t, [iD[t], iS[t]]] = 1.0, -1.0
-        ub[off_market + t, [iP[t], iF[t]]] = 1.0, 1.0
-    for t in range(n):
-        ub[off_res_lo_nx + t, [iF[t], iE[t + 1]]] = rho, -1.0
-        ub[off_res_hi_nx + t, [iF[t], iE[t + 1]]] = rho, 1.0
-        ub[off_ramp_up + t, [iP[t + 1], iP[t]]] = 1.0, -1.0
-        ub[off_ramp_dn + t, [iP[t], iP[t + 1]]] = 1.0, -1.0
-
-    ub_rhs = np.zeros(n_ub)
-    ub_rhs[off_cap_up:off_cap_up + ns] = Pbar
-    ub_rhs[off_cap_dn:off_cap_dn + ns] = Punder
-    ub_rhs[off_res_hi:off_res_hi + ns] = Ebar
-    ub_rhs[off_res_hi_nx:off_res_hi_nx + n] = Ebar
-    ub_rhs[off_ramp_up:off_ramp_up + 2 * n] = params.ramp_dPbar
-    eq_rhs = np.zeros(n_eq)
-    eq_rhs[0] = params.cost_offset
+    P, F, E, D, S = (col[k] for k in ("P", "F", "E", "d_util", "peak_slack"))
+    equalities = (
+        ("offset", [(1.0, col["offset_var"])], params.cost_offset),
+        ("balance", [(1.0, E[1:]), (-1.0, E[:-1]), (1.0, P[:-1]), (_ALPHA, F[:-1])], 0.0),
+        ("boundary", [(1.0, E[[0, -1]])], "x0"),
+        ("utility", [(1.0, D), (1.0, P), (_ALPHA, F)], _LOAD),
+    )
+    inequalities = (
+        ("cap_up", [(1.0, P), (1.0, F)], Pbar),
+        ("cap_dn", [(-1.0, P), (1.0, F)], Punder),
+        ("res_lo", [(rho, F), (-1.0, E)], 0.0),
+        ("res_hi", [(rho, F), (1.0, E)], Ebar),
+        ("res_lo_nx", [(rho, F[:-1]), (-1.0, E[1:])], 0.0),
+        ("res_hi_nx", [(rho, F[:-1]), (1.0, E[1:])], Ebar),
+        ("ramp_up", [(1.0, P[1:]), (-1.0, P[:-1])], dP),
+        ("ramp_dn", [(1.0, P[:-1]), (-1.0, P[1:])], dP),
+        ("peak", [(1.0, D), (-1.0, S)], "D"),
+        ("market", [(1.0, P), (1.0, F)], _LOAD),
+    )
+    families = equalities + inequalities
+    # Canonical rows are the equalities, then the inequalities, so one
+    # stack numbers every family's rows as canonicalize lays them out.
+    A, b, row_tags, (alpha_rows, alpha_cols) = _stack(families, n_orig)
+    alpha_steps = alpha_cols - F[0]
+    n_eq = sum(row_tags[name].size for name, _, _ in equalities)
     # The day's load is the only rhs that varies: std0 holds the rest,
     # already shifted to canonical variables.
     std0, var_map = canonicalize(GeneralLP(
-        cost=np.zeros(n_orig), ub_matrix=ub, ub_rhs=ub_rhs, eq_matrix=eq, eq_rhs=eq_rhs,
-        lower=lower, upper=upper,
+        cost=np.zeros(n_orig), ub_matrix=A[n_eq:], ub_rhs=b[n_eq:],
+        eq_matrix=A[:n_eq], eq_rhs=b[:n_eq], lower=lower, upper=upper,
     ))
-    n_rows, n_cols = std0.n_rows, std0.n_cols
-    utility_rows = n + 3 + np.arange(ns)
-    market_rows = n_eq + off_market + np.arange(ns)
+    n_cols = std0.n_cols
+    load_rows = [row_tags[name] for name, _, rhs in families if rhs == _LOAD]
 
-    coupling_T = np.zeros((n_rows, 2))
-    coupling_T[[r_start, r_end], 0] = -1.0
-    peak_rows = n_eq + off_peak + np.arange(ns)
-    coupling_T[peak_rows, 1] = -1.0
+    coupling_T = np.zeros((std0.n_rows, len(_TARGETS)))
+    for name, _, rhs in families:
+        if rhs in _TARGETS:
+            coupling_T[row_tags[name], _TARGETS.index(rhs)] = -1.0
 
     def rhs_builder(d: PeriodRealization) -> np.ndarray:
         out = std0.eq_rhs.copy()
-        out[utility_rows] += d.load
-        out[market_rows] += d.load
+        for rows in load_rows:
+            out[rows] += d.load
         out.setflags(write=False)
         return out
 
     def cost_builder(d: PeriodRealization) -> np.ndarray:
         out = np.zeros(n_cols)
-        out[iP] = -d.energy_price
-        out[iF] = d.energy_price * d.fr_request - d.fr_price
-        out[iS] = params.elastic_penalty_M
-        out[i_off] = 1.0
+        out[P] = -d.energy_price
+        out[F] = d.energy_price * d.fr_request - d.fr_price
+        out[S] = params.elastic_penalty_M
+        out[col["offset_var"]] = 1.0
         out.setflags(write=False)
         return out
 
     def matrix_builder(d: PeriodRealization) -> np.ndarray:
         out = std0.eq_matrix.copy()
-        steps = np.arange(n)
-        out[1 + steps, iF[steps]] = -d.fr_request[:n]
-        out[utility_rows, iF] = -d.fr_request
+        out[alpha_rows, alpha_cols] = -d.fr_request[alpha_steps]
         out.setflags(write=False)
         return out
 
-    row_tags = {
-        "offset": np.array([0]),
-        "balance": 1 + np.arange(n),
-        "boundary": np.array([r_start, r_end]),
-        "utility": utility_rows,
-        "peak": peak_rows,
-        "market": market_rows,
-    }
-    col_tags = {
-        "P": iP,
-        "F": iF,
-        "E": iE,
-        "d_util": iD,
-        "peak_slack": iS,
-        "offset_var": np.array([i_off]),
-        "state_first": np.array([iE[0]]),
-        "state_last": np.array([iE[n]]),
-    }
     return StageTemplate(
         n_cols=n_cols,
         coupling_T=coupling_T,
@@ -252,7 +244,7 @@ def build_template(params: BatteryParams) -> StageTemplate:
         matrix_builder=matrix_builder,
         var_map=var_map,
         row_tags=row_tags,
-        col_tags=col_tags,
+        col_tags=dict(col, state_first=E[:1], state_last=E[-1:]),
     )
 
 
@@ -262,13 +254,7 @@ def decode_trajectory(result: StageResult, template: StageTemplate) -> BatteryTr
     if orig.size != template.var_map.n_orig:
         raise ValueError(f"{orig.size} trajectory entries do not fit this template's n")
     tags = template.col_tags
-    return BatteryTrajectory(
-        P=orig[tags["P"]],
-        F=orig[tags["F"]],
-        E=orig[tags["E"]],
-        d_util=orig[tags["d_util"]],
-        peak_slack=orig[tags["peak_slack"]],
-    )
+    return BatteryTrajectory(**{f.name: orig[tags[f.name]] for f in fields(BatteryTrajectory)})
 
 
 def design_cost(params: BatteryParams) -> np.ndarray:
@@ -305,17 +291,7 @@ def with_offset(params: BatteryParams, pool: ScenarioPool) -> BatteryParams:
     return replace(params, cost_offset=suggested_cost_offset(params, pool))
 
 
-PARAM_FIELDS = (
-    "capacity_Ebar",
-    "discharge_Pbar",
-    "charge_Punder",
-    "fr_reserve_rho",
-    "ramp_dPbar",
-    "demand_charge_piD",
-    "period_length_n",
-    "elastic_penalty_M",
-    "cost_offset",
-)
+PARAM_FIELDS = tuple(f.name for f in fields(BatteryParams))
 
 
 def load_params(path) -> BatteryParams:

@@ -4,7 +4,7 @@ One assignment per line; ``#`` starts a comment at the start of a line
 or after whitespace, so a path may hold ``a#b``; values are kept as
 strings for the caller to coerce.  A quoted value loses its quotes and
 keeps everything between them, `` #`` included; ``write_kv`` quotes the
-values that need it.
+values that need it, with ``'`` where the value holds ``"``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,13 @@ def read_kv(path) -> dict:
 
 
 def write_kv(path, doc: dict) -> None:
+    """Write ``doc``; a value that needs quotes gets one kind it lacks."""
     with open(path, "w") as fh:
         for key, value in doc.items():
-            if _COMMENT.search(str(value)):
-                value = f'"{value}"'
+            value = str(value)
+            if _COMMENT.search(value):
+                quote = "'" if '"' in value else '"'
+                if quote in value:
+                    raise ValueError(f"{key}: value {value!r} needs quotes but holds both kinds")
+                value = f"{quote}{value}{quote}"
             fh.write(f"{key} = {value}\n")

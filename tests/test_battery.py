@@ -1,10 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from hmpc import battery
 from hmpc.battery import (
+    PARAM_FIELDS,
     BatteryParams,
     InvalidParams,
     build_template,
@@ -128,6 +131,40 @@ def test_structural_counts_match_documented_table():
     assert tpl.var_map.n_eq == 2 * n + 4
     assert tpl.var_map.n_ub == 10 * n + 6
     assert tpl.coupling_T.shape == (15 * n + 13, 2)
+
+
+def documented_families(heading, n):
+    """(tag, size) of each row of the module docstring's table under ``heading``."""
+    table = battery.__doc__.split(heading, 1)[1].split("\n\n")[1]
+    sizes = {"1": 1, "2": 2, "n": n, "n+1": n + 1}
+    return [(line.split()[0], sizes[line.split()[1]]) for line in table.splitlines()]
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_row_tags_are_the_documented_constraint_families(n):
+    tpl = build_template(small_params(n=n))
+    documented = documented_families("Constraint families", n)
+    assert len(documented) == 14
+    assert [(tag, rows.size) for tag, rows in tpl.row_tags.items()] == documented
+    vm = tpl.var_map
+    np.testing.assert_array_equal(
+        np.concatenate(list(tpl.row_tags.values())), np.arange(vm.n_eq + vm.n_ub)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_col_tags_are_the_documented_variable_families(n):
+    params = small_params(n=n)
+    tpl = build_template(params)
+    documented = documented_families("Variable families", n)
+    assert [(tag, tpl.col_tags[tag].size) for tag, _ in documented] == documented
+    families = [tpl.col_tags[tag] for tag, _ in documented]
+    np.testing.assert_array_equal(np.concatenate(families), np.arange(tpl.var_map.n_orig))
+    lower = {"P": -params.charge_Punder}
+    for tag, _ in documented:
+        np.testing.assert_array_equal(tpl.var_map.lower[tpl.col_tags[tag]], lower.get(tag, 0.0))
+    boxed = np.concatenate([tpl.col_tags[tag] for tag in ("P", "F", "E")])
+    np.testing.assert_array_equal(tpl.var_map.bound_cols, boxed)
 
 
 def test_coupling_sparsity_contract():
@@ -299,6 +336,13 @@ def test_param_validation():
         period_length_n=4,
     )
     assert defaulted.elastic_penalty_M == pytest.approx(2000.0)
+
+
+@pytest.mark.parametrize("name", PARAM_FIELDS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_reject_non_finite_values_by_name(name, bad):
+    with pytest.raises(InvalidParams, match=f"^{name} must be finite and nonnegative$"):
+        small_params(**{name: bad})
 
 
 def test_params_file_round_trip(tmp_path):

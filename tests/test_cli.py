@@ -211,6 +211,27 @@ def test_kv_keeps_a_spaced_hash_inside_a_quoted_value(tmp_path):
     assert parse_kv(text) == {"a": "/data/run #2/pool.json", "b": "x #y", "c": "/data/run"}
 
 
+def test_kv_round_trips_either_quote_character(tmp_path):
+    doc = {"a": 'x" #y', "b": "it's #1", "c": "3"}
+    write_kv(tmp_path / "a.kv", doc)
+    assert read_kv(tmp_path / "a.kv") == doc
+
+
+def test_kv_refuses_a_value_needing_quotes_that_holds_both(tmp_path):
+    with pytest.raises(ValueError, match="both"):
+        write_kv(tmp_path / "a.kv", {"a": """x"' #y"""})
+
+
+@pytest.mark.parametrize("name", ["capacity_Ebar", "demand_charge_piD"])
+def test_non_finite_battery_param_exits_one_naming_it(workdir, tmp_path, capsys, name):
+    params = read_kv(workdir / "battery.kv")
+    params[name] = "nan"
+    write_kv(workdir / "battery.kv", params)
+    rc = main(["run", "--config", str(workdir / "small.conf"), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert f"{name} must be finite and nonnegative" in capsys.readouterr().err
+
+
 def _gen_run_gap(data):
     """gen-data, run and gap with every file under ``data``."""
     assert main(["gen-data", "--out", str(data), "--steps", "2",
