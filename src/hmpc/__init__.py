@@ -12,7 +12,7 @@ Modules:
 - ``stage``       stage-problem templates and stage solves
 - ``battery``     battery / frequency-regulation market stage model
 - ``scenarios``   scenario pools, CSV ingest, forecast noise
-- ``cuts``        dual-vertex store, cut generation/rescaling, master LP
+- ``cuts``        class table and dual-vertex store, cut generation/rescaling, master LP
 - ``controller``  period loop: MPC, retroactive updates, gap metrics
 - ``oracle``      extensive-form benchmarks (periodic and non-periodic)
 - ``cli``         command-line entry points

@@ -63,7 +63,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from hmpc.kv import read_kv, write_kv
+from hmpc.kv import coerce, read_kv, write_kv
 from hmpc.lp import GeneralLP, canonicalize
 from hmpc.scenarios import PeriodRealization, ScenarioPool
 from hmpc.stage import StageResult, StageTemplate
@@ -300,9 +300,13 @@ def load_params(path) -> BatteryParams:
     unknown = set(doc) - set(PARAM_FIELDS)
     if unknown:
         raise InvalidParams(f"unknown parameter keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, raw in doc.items():
-        kwargs[key] = int(raw) if key == "period_length_n" else float(raw)
+    try:
+        kwargs = {
+            key: coerce(key, raw, int if key == "period_length_n" else float)
+            for key, raw in doc.items()
+        }
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from None
     return BatteryParams(**kwargs)
 
 

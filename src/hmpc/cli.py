@@ -36,7 +36,7 @@ from hmpc.battery import (
 )
 from hmpc.controller import run_simulation
 from hmpc.cuts import EmptyCuts, EmptyStore, MasterInfeasible
-from hmpc.kv import read_kv, write_kv
+from hmpc.kv import coerce, read_kv, write_kv
 from hmpc.lp import LPError
 from hmpc.oracle import (
     DEFAULT_CAP,
@@ -201,18 +201,21 @@ def cmd_run(args) -> int:
     config_path, cfg = _run_config(args)
     pool, template, box, cw = _load_setup(config_path, cfg)
 
-    horizon = int(cfg.get("horizon", 100))
-    seed = int(cfg.get("seed", 0))
-    sigma = float(cfg.get("sigma", 0.0))
-    keep_planned = int(cfg.get("keep_planned", 7))
-    audit_full_until = int(cfg.get("audit_full_until", 100))
-    audit_stride = int(cfg.get("audit_stride", 5))
+    def number(key, default=None, kind=int):
+        return coerce(key, cfg.get(key, default), kind)
+
+    horizon = number("horizon", 100)
+    seed = number("seed", 0)
+    sigma = number("sigma", 0.0, float)
+    keep_planned = number("keep_planned", 7)
+    audit_full_until = number("audit_full_until", 100)
+    audit_stride = number("audit_stride", 5)
     track = _parse_bool(cfg.get("track_overall_gap", "true"))
     if ("w1_state" in cfg) != ("w1_peak" in cfg):
         raise ValueError("w1_state and w1_peak go together")
     w1 = None
     if "w1_state" in cfg:
-        w1 = np.array([float(cfg["w1_state"]), float(cfg["w1_peak"])])
+        w1 = np.array([number("w1_state", kind=float), number("w1_peak", kind=float)])
 
     sim = run_simulation(
         template,
@@ -317,7 +320,7 @@ def cmd_oracle(args) -> int:
     config_path, cfg = _run_config(args)
     pool, template, box, cw = _load_setup(config_path, cfg)
     periods = args.periods
-    seed = int(cfg.get("seed", 0))
+    seed = coerce("seed", cfg.get("seed", 0), int)
 
     rng = stream(seed)
     history = [sample_period(pool, rng) for _ in range(periods)]

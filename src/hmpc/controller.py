@@ -4,12 +4,12 @@ Each period m runs with targets w_m fixed: an intra-period MPC plans the
 hours against a forecast, the realized data d_m is observed at the
 boundary, and the retroactive layer then
 
-1. solves the stage problem at (w_m, d_m) for a dual vertex,
+1. solves the stage problem at (w_m, d_m) for a dual vertex, checks
+   it, and counts d_m's class in the store's class table,
 2. rescales the standing cuts by (m-1)/m and adds one cut built from
-   the full history at w_m,
-3. prices the targets: running cost phi_m(w_m) by re-solving all m
-   stage problems (memoized per distinct realization), lower bound
-   from the cut envelope,
+   every class of the table at w_m,
+3. prices the targets: running cost phi_m(w_m) by one stage solve per
+   class (memoized by targets), lower bound from the cut envelope,
 4. minimizes the envelope over the target box, which yields w_{m+1};
    the master LP starts from the cuts binding at the last optimum plus
    the new cut and adds only the cuts its candidate violates.
@@ -28,6 +28,7 @@ import numpy as np
 from hmpc.cuts import (
     Cut,
     VertexStore,
+    dual_excess,
     generate_cut,
     lower_bound_at,
     rescale_cuts,
@@ -38,15 +39,24 @@ from hmpc.scenarios import (
     ForecastModel,
     PeriodRealization,
     ScenarioPool,
-    collapse,
     sample_period,
     stream,
 )
 from hmpc.stage import StageSolveCache, StageTemplate
 
 
-class NegativeStageCost(ValueError):
-    """A stage cost fell below zero, where cut rescaling is no longer valid."""
+# Round-off allowed in the period's own stage dual, relative to the size of
+# the terms summed: max|pi| for W(d)'pi, |pi|'|r - Tw| for the dual value.
+# On the arbitrage test fixture (elastic penalty 2e7) duals of 2e7 leave
+# W(d)'pi 2.7e-9 past c(d) + _FEAS_TOL (1 + |c|) and pi'(r - Tw) 2.4e-6
+# from a stage cost of 90; both are about 1e-16 of those sizes.
+_ROUND_TOL = 1e-12
+
+
+class BrokenInvariant(ValueError):
+    """A run-time check of the period loop failed: a negative stage cost
+    (cut rescaling needs h >= 0), a stage dual that is not dual feasible
+    or misses the stage cost, or a lower bound above the running cost."""
 
 
 @dataclass
@@ -77,7 +87,10 @@ class HierarchyState:
 
     Template, design cost and box are checked once, here; ``targets_w``
     defaults to mid-box.  The rest starts empty and only ``step_period``
-    grows it; the next period is ``len(history) + 1``.  The cuts are
+    grows it; the next period is ``len(history) + 1``.  ``store`` is the
+    class table (classes, counts, vertices and their certificates) that
+    the cuts and the running cost read; ``history`` keeps every day in
+    order for the oracles.  The cuts are
     ``cut_alpha`` (m,) and ``cut_beta`` (m, n_w) at the current scale,
     row j-1 holding the cut born in period j.  Both are read-only and
     every update assigns new arrays, so a row handed out earlier never
@@ -140,14 +153,40 @@ def initial_state(
 
 
 def running_cost(state: HierarchyState, w: np.ndarray) -> float:
-    """phi_m(w) over the observed history, one solve per distinct class."""
-    m = len(state.history)
+    """phi_m(w) over the counted periods, one solve per class."""
+    store = state.store
+    m = sum(store.counts)
     if m == 0:
         raise ValueError("no completed periods yet")
     total = 0.0
-    for d, count in zip(*collapse(state.history)):
+    for d, count in zip(store.days, store.counts):
         total += count * state.cache.solve(w, d).cost_h
     return float(state.design_cost @ w) + total / m
+
+
+def _certify_stage(template: StageTemplate, m: int, w: np.ndarray, d, res) -> None:
+    """The period's stage solve may donate its vertex: h >= 0, W(d)'pi <=
+    c(d) as ``dual_excess`` checks it, and pi'(r(d) - Tw) = h to 1e-9
+    (1 + |h|); the last two also allow round-off of _ROUND_TOL."""
+    h, pi = res.cost_h, res.dual_vertex
+    if h < -1e-7 * (1 + abs(h)):
+        raise BrokenInvariant(
+            f"period {m}: stage cost {h:.6g} is negative, so the cuts would "
+            "not bound the running cost; raise cost_offset in the battery parameters"
+        )
+    size = np.abs(pi)
+    excess = float(dual_excess(pi[None], template, d)[0])
+    if not excess <= _ROUND_TOL * size.max():
+        raise BrokenInvariant(
+            f"period {m}: the stage dual is not dual feasible, "
+            f"W(d)'pi exceeds c(d) by {excess:.3g} past the tolerance"
+        )
+    b = template.rhs_builder(d) - template.coupling_T @ w
+    gap = abs(float(pi @ b) - h)
+    if not gap <= 1e-9 * (1 + abs(h)) + _ROUND_TOL * float(size @ np.abs(b)):
+        raise BrokenInvariant(
+            f"period {m}: the stage dual prices the stage at {gap:.3g} from its cost {h:.6g}"
+        )
 
 
 def step_period(
@@ -160,52 +199,56 @@ def step_period(
 
     ``audit=False`` skips the O(m) running-cost evaluation (the cut and
     target updates always happen).  Passing the generating pool adds the
-    exact overall gap to audited rows.  A negative stage cost raises
-    NegativeStageCost before the state changes.
+    exact overall gap to audited rows.  A failed check (``_certify_stage``
+    before the vertex is stored; on audited periods, a lower bound above
+    the running cost by more than 1e-7 (1 + |phi|)) raises
+    BrokenInvariant, and any exception leaves the state as it was.
     """
     m = len(state.history) + 1
     w_m = state.targets_w
     res = state.cache.solve(w_m, realized)
-    if res.cost_h < -1e-7 * (1 + abs(res.cost_h)):
-        raise NegativeStageCost(
-            f"period {m}: stage cost {res.cost_h:.6g} is negative, so the cuts would "
-            "not bound the running cost; raise cost_offset in the battery parameters"
+    _certify_stage(state.template, m, w_m, realized, res)
+    n_vertices = len(state.store)
+    state.store.insert(res.dual_vertex, realized)
+    try:
+        alpha, beta = rescale_cuts(state.cut_alpha, state.cut_beta, m)
+        cut = generate_cut(state.store, w_m, state.template)
+        alpha, beta = np.append(alpha, cut.alpha), np.vstack([beta, cut.beta])
+        slopes = state.design_cost + beta
+        lb = lower_bound_at(alpha, slopes, w_m)
+        w_next, master_bound, working = solve_master(
+            alpha, slopes, state.target_box, working=np.append(state.working_set, m - 1)
         )
-    state.store.insert(res.dual_vertex, realized.key)
+        record = GapRecord(
+            period=m,
+            targets=w_m.copy(),
+            stage_cost=res.cost_h,
+            lower_bound=lb,
+            master_bound=master_bound,
+            targets_next=w_next.copy(),
+            slack_activation=res.slack_activation,
+        )
+        if audit:
+            phi = running_cost(state, w_m)
+            if lb > phi + 1e-7 * (1 + abs(phi)):
+                raise BrokenInvariant(
+                    f"period {m}: lower bound {lb:.10g} is above the running cost "
+                    f"{phi:.10g} by {lb - phi:.3g}"
+                )
+            record.running_cost = phi
+            record.current_gap_eps = (phi - lb) / phi if phi != 0 else 0.0
+            if pool is not None:
+                ref = reference_cost(
+                    state.template, pool, state.design_cost, w_m, cache=state.cache
+                )
+                record.overall_gap_epsbar = (ref - lb) / ref if ref != 0 else 0.0
+    except BaseException:
+        state.store.uncount(realized, n_vertices)
+        raise
+
+    state._set_cuts(alpha, beta)
+    state.working_set = working
     state.history.append(realized)
-
-    alpha, beta = rescale_cuts(state.cut_alpha, state.cut_beta, m)
-    cut = generate_cut(state.store, state.history, w_m, state.template)
-    state._set_cuts(np.append(alpha, cut.alpha), np.vstack([beta, cut.beta]))
-
-    slopes = state.design_cost + state.cut_beta
-    lb = lower_bound_at(state.cut_alpha, slopes, w_m)
-    w_next, master_bound, state.working_set = solve_master(
-        state.cut_alpha,
-        slopes,
-        state.target_box,
-        working=np.append(state.working_set, m - 1),
-    )
-
-    record = GapRecord(
-        period=m,
-        targets=w_m.copy(),
-        stage_cost=res.cost_h,
-        lower_bound=lb,
-        master_bound=master_bound,
-        targets_next=w_next.copy(),
-        slack_activation=res.slack_activation,
-    )
-    if audit:
-        phi = running_cost(state, w_m)
-        record.running_cost = phi
-        record.current_gap_eps = (phi - lb) / phi if phi != 0 else 0.0
-        if pool is not None:
-            ref = reference_cost(
-                state.template, pool, state.design_cost, w_m, cache=state.cache
-            )
-            record.overall_gap_epsbar = (ref - lb) / ref if ref != 0 else 0.0
-
     state.realized_cost_accum += res.cost_h + float(state.design_cost @ w_m)
     state.targets_w = w_next
     return state, record

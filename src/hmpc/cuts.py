@@ -20,14 +20,19 @@ cut the candidate violates, until none does.  Rescaling multiplies every
 cut by the same factor and leaves c_w'w alone, so it does not change
 which cuts bind.
 
-A stored vertex pi certifies pi'(r - Tw) <= h(w, d) only where pi is
-dual feasible, i.e. W(d)' pi <= c(d).  With random prices (and random
-regulation fractions in the constraint matrix) that is scenario
-dependent, so the store keeps one verdict vector per realization class,
-one entry per vertex: certified, refused, or not checked yet.  The
-per-class argmax in generate_cut only looks at certified vertices.  A
-vertex is always certified for the class it was solved under; other
-classes check it once, the first time they ask.
+The store is also the loop's class table.  Days with equal ``key`` are
+one realization class; the table holds the classes in first-seen order,
+each with the day that stands for it and its integer count, and
+controller.step_period counts one period per ``insert``.  The cut and
+the running cost weight class k by count / m.  A stored vertex pi
+certifies pi'(r - Tw) <= h(w, d) only where pi is dual feasible, i.e.
+W(d)' pi <= c(d).  With random prices (and random regulation fractions
+in the constraint matrix) that is scenario dependent, so the table also
+keeps one verdict per class and vertex: certified, refused, or not
+checked yet.  The per-class argmax in generate_cut only looks at
+certified vertices.  A vertex is certified for the class it was solved
+under when it is inserted (step_period checks it first); other classes
+check it once, the first time they ask.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from hmpc.lp import GeneralLP, LPStatus, solve_general
-from hmpc.scenarios import collapse
 from hmpc.stage import StageTemplate
 
 # Vertices closer than this in max norm are stored once.
@@ -75,30 +79,29 @@ class Cut:
 
 
 class VertexStore:
-    """Grow-only store of dual vertices with per-class certificates.
+    """Grow-only class table and dual-vertex store.
 
-    ``_verdicts[key][i]`` is 1 if vertex i is certified for class ``key``,
-    -1 if refused and 0 if not checked yet; a vector shorter than the
-    store reads 0 past its end.
+    ``days[k]`` is the first day seen of realization class k (classes in
+    first-seen order) and ``counts[k]`` the number of periods of that
+    class; ``_index`` maps a day's ``key`` to k.  ``_V`` holds the
+    vertices, one row each, and ``_verdicts[k, i]`` is 1 if vertex i is
+    certified for class k, -1 if refused and 0 if not checked yet.
     """
 
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
         self._V = np.zeros((0, n_rows))
-        self._verdicts: dict = {}
+        self.days: list = []
+        self.counts: list = []
+        self._index: dict = {}
+        self._verdicts = np.zeros((0, 0), dtype=np.int8)
 
     def __len__(self) -> int:
         return self._V.shape[0]
 
-    def _verdict(self, key) -> np.ndarray:
-        old = self._verdicts.get(key, np.zeros(0, dtype=np.int8))
-        if old.size < len(self):
-            old = np.concatenate([old, np.zeros(len(self) - old.size, dtype=np.int8)])
-            self._verdicts[key] = old
-        return old
-
-    def insert(self, pi: np.ndarray, class_key) -> int:
-        """Add a vertex certified for ``class_key``; dedups near-equals.
+    def insert(self, pi: np.ndarray, d) -> int:
+        """Count one period of d's class (adding the class if new) and
+        store pi certified for it; dedups near-equal vertices.
 
         Returns the store index.  A duplicate within ``_DEDUP_TOL`` (max
         norm) is not re-added, but inherits the new certificate.
@@ -106,6 +109,12 @@ class VertexStore:
         pi = np.asarray(pi, dtype=float)
         if pi.size != self.n_rows:
             raise ValueError(f"vertex has {pi.size} rows, store wants {self.n_rows}")
+        k = self._index.setdefault(d.key, len(self.days))
+        if k == len(self.days):
+            self.days.append(d)
+            self.counts.append(0)
+            self._verdicts = np.pad(self._verdicts, ((0, 1), (0, 0)))
+        self.counts[k] += 1
         hits = np.flatnonzero(np.abs(self._V - pi).max(axis=1) <= _DEDUP_TOL)
         if hits.size:
             i = int(hits[0])
@@ -113,56 +122,64 @@ class VertexStore:
             i = len(self)
             self._V = np.vstack([self._V, pi])
             self._V.setflags(write=False)
-        self._verdict(class_key)[i] = 1
+            self._verdicts = np.pad(self._verdicts, ((0, 0), (0, 1)))
+        self._verdicts[k, i] = 1
         return i
 
-    def certified_mask(self, d, template: StageTemplate) -> np.ndarray:
-        """Which vertices may price realization d's class.
+    def uncount(self, d, n_vertices: int) -> None:
+        """Take back the last ``insert`` of d, made when the store held
+        ``n_vertices`` vertices.  A verdict it set on an older vertex for
+        an older class stays."""
+        k = self._index[d.key]
+        self.counts[k] -= 1
+        if not self.counts[k]:
+            del self.days[k], self.counts[k], self._index[d.key]
+        self._V = self._V[:n_vertices]
+        self._verdicts = self._verdicts[: len(self.days), :n_vertices]
 
-        Unchecked vertices are tested against W(d)'pi <= c(d) with a
-        per-column tolerance, and the verdicts kept for the class.
+    def certified_mask(self, k: int, template: StageTemplate) -> np.ndarray:
+        """Which vertices may price class k.
+
+        Unchecked vertices are tested against W(d)'pi <= c(d) at the
+        class's day (``dual_excess``), and the verdicts kept.
         """
-        verdict = self._verdict(d.key)
+        verdict = self._verdicts[k]
         unknown = np.flatnonzero(verdict == 0)
         if unknown.size:
-            W = template.matrix_builder(d)
-            c = template.cost_builder(d)
-            tol = _FEAS_TOL * (1.0 + np.abs(c))
-            ok = ((self._V[unknown] @ W) <= c + tol).all(axis=1)
+            ok = dual_excess(self._V[unknown], template, self.days[k]) <= 0
             verdict[unknown] = np.where(ok, 1, -1)
         return verdict == 1
 
 
-def generate_cut(
-    store: VertexStore,
-    history: list,
-    w: np.ndarray,
-    template: StageTemplate,
-) -> Cut:
-    """One cut from the whole history at the current targets.
+def dual_excess(V: np.ndarray, template: StageTemplate, d) -> np.ndarray:
+    """For each row pi of V, the largest amount by which W(d)'pi exceeds
+    c(d) + _FEAS_TOL (1 + |c(d)|), column by column; pi is dual feasible
+    for d where this is <= 0."""
+    c = template.cost_builder(d)
+    bound = c + _FEAS_TOL * (1.0 + np.abs(c))
+    return (V @ template.matrix_builder(d) - bound).max(axis=1)
 
-    Each realization class gets the certified vertex maximizing
-    pi'(r - Tw) (ties to the lowest store index); classes repeat in the
-    history, so the argmax runs once per distinct class and is weighted
-    by its count.
+
+def generate_cut(store: VertexStore, w: np.ndarray, template: StageTemplate) -> Cut:
+    """One cut over every counted period at the current targets.
+
+    Each realization class of the store's table gets the certified
+    vertex maximizing pi'(r - Tw) (ties to the lowest store index),
+    weighted by count / m with m the periods counted.  Every class holds
+    at least the vertex of its own first period, so the argmax is over a
+    nonempty set.
     """
-    if len(store) == 0:
-        raise EmptyStore("no dual vertices stored yet")
-    if not history:
-        raise ValueError("history is empty")
+    if not store.counts:
+        raise EmptyStore("no period counted yet")
     w_vec = np.asarray(w, dtype=float)
-    m = len(history)
+    m = sum(store.counts)
     V = store._V
     T = template.coupling_T
     alpha = 0.0
     beta = np.zeros(template.n_w)
-    for d, count in zip(*collapse(history)):
+    for k, (d, count) in enumerate(zip(store.days, store.counts)):
         r = template.rhs_builder(d)
-        vals = V @ (r - T @ w_vec)
-        mask = store.certified_mask(d, template)
-        if not mask.any():
-            raise EmptyStore(f"no certified vertex for realization class {d.key}")
-        vals = np.where(mask, vals, -np.inf)
+        vals = np.where(store.certified_mask(k, template), V @ (r - T @ w_vec), -np.inf)
         pi = V[int(np.argmax(vals))]
         weight = count / m
         alpha += weight * float(pi @ r)

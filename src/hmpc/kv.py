@@ -2,13 +2,15 @@
 
 One assignment per line; ``#`` starts a comment at the start of a line
 or after whitespace, so a path may hold ``a#b``; values are kept as
-strings for the caller to coerce.  A quoted value loses its quotes and
-keeps everything between them, `` #`` included; ``write_kv`` quotes the
-values that need it, with ``'`` where the value holds ``"``.
+strings for the caller to coerce (``coerce`` reads numbers).  A quoted
+value loses its quotes and keeps everything between them, `` #``
+included; ``write_kv`` quotes the values that would not read back as
+written, with ``'`` where the value holds ``"``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import re
 
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -46,9 +48,21 @@ def write_kv(path, doc: dict) -> None:
     with open(path, "w") as fh:
         for key, value in doc.items():
             value = str(value)
-            if _COMMENT.search(value):
+            if _COMMENT.search(value) or _QUOTED.fullmatch(value) or value != value.strip():
                 quote = "'" if '"' in value else '"'
                 if quote in value:
                     raise ValueError(f"{key}: value {value!r} needs quotes but holds both kinds")
                 value = f"{quote}{value}{quote}"
             fh.write(f"{key} = {value}\n")
+
+
+def coerce(key: str, raw, kind: type = float):
+    """``raw`` as ``kind`` (int or float), or a ValueError that names
+    ``key``; an int key also takes an integral float such as ``6.0``."""
+    with contextlib.suppress(ValueError):
+        return kind(raw)
+    with contextlib.suppress(ValueError):
+        value = float(raw)
+        if kind is int and value.is_integer():
+            return int(value)
+    raise ValueError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {raw!r}")

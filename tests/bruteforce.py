@@ -15,7 +15,9 @@ Only intended for small instances (<= ~10 variables).
 every cut, solved by HiGHS.  ``chained_rescale`` is the reference for the
 cut arrays: one cut object per stored cut, each rescaled on its own every
 period.  ``scenario_value_bound`` reads the best stored underestimate of
-one stage cost."""
+one stage cost, and ``scratch_cut`` is the reference for one generated
+cut; both check the vertices' dual feasibility from scratch
+(``fresh_mask``) instead of reading the store's verdicts."""
 
 from itertools import combinations
 
@@ -24,6 +26,7 @@ from scipy.optimize import linprog
 
 from hmpc.cuts import Cut
 from hmpc.lp import LPStatus
+from hmpc.scenarios import collapse
 
 
 def _independent_rows(A, b, tol=1e-9):
@@ -123,14 +126,37 @@ def chained_rescale(births):
     return cuts
 
 
+def fresh_mask(V, template, d):
+    """Rows pi of V with W(d)'pi <= c(d) + 1e-9 (1 + |c(d)|) in every column."""
+    c = template.cost_builder(d)
+    return (V @ template.matrix_builder(d) <= c + 1e-9 * (1.0 + np.abs(c))).all(axis=1)
+
+
 def scenario_value_bound(store, template, d, w):
     """Best stored underestimate of h(w, d); -inf with no certificate."""
     w_vec = np.asarray(w, dtype=float)
     if len(store) == 0:
         return -np.inf
-    mask = store.certified_mask(d, template)
+    mask = fresh_mask(store._V, template, d)
     if not mask.any():
         return -np.inf
     r = template.rhs_builder(d)
     vals = store._V @ (r - template.coupling_T @ w_vec)
     return float(np.max(vals[mask]))
+
+
+def scratch_cut(V, template, history, w):
+    """The cut at targets w from vertices V over ``history``: its classes
+    and counts from ``collapse``, each class priced by its best vertex
+    under ``fresh_mask`` (ties to the lowest index), weighted count / m and
+    summed in class order.  Returns (alpha, beta)."""
+    T = template.coupling_T
+    m = len(history)
+    alpha, beta = 0.0, np.zeros(template.n_w)
+    for d, count in zip(*collapse(history)):
+        r = template.rhs_builder(d)
+        vals = np.where(fresh_mask(V, template, d), V @ (r - T @ w), -np.inf)
+        pi = V[int(np.argmax(vals))]
+        alpha += count / m * float(pi @ r)
+        beta -= count / m * (T.T @ pi)
+    return alpha, beta

@@ -222,6 +222,69 @@ def test_kv_refuses_a_value_needing_quotes_that_holds_both(tmp_path):
         write_kv(tmp_path / "a.kv", {"a": """x"' #y"""})
 
 
+def test_kv_round_trips_values_that_look_quoted_or_spaced(tmp_path):
+    doc = {"a": '"abc"', "b": " x ", "c": "'q' # c", "d": "\tz", "e": "plain"}
+    write_kv(tmp_path / "a.kv", doc)
+    assert read_kv(tmp_path / "a.kv") == doc
+
+
+def _set(path, key, value):
+    doc = read_kv(path)
+    doc[key] = value
+    write_kv(path, doc)
+
+
+def test_integer_keys_take_an_integral_float(workdir, tmp_path):
+    from hmpc.battery import load_params
+
+    _set(workdir / "battery.kv", "period_length_n", "2.0")
+    _set(workdir / "small.conf", "horizon", "3.0")
+    assert load_params(workdir / "battery.kv").period_length_n == 2
+    rc = main(["run", "--config", str(workdir / "small.conf"), "--out", str(tmp_path / "x")])
+    assert rc == 0
+    assert len(read_rows(tmp_path / "x" / "metrics.csv")) == 3
+
+
+@pytest.mark.parametrize("file, key, value, message", [
+    ("battery.kv", "period_length_n", "2.5", "period_length_n must be an integer, got '2.5'"),
+    ("battery.kv", "capacity_Ebar", "big", "capacity_Ebar must be a number, got 'big'"),
+    ("small.conf", "horizon", "5.5", "horizon must be an integer, got '5.5'"),
+    ("small.conf", "sigma", "abc", "sigma must be a number, got 'abc'"),
+])
+def test_a_number_that_does_not_coerce_exits_one_naming_its_key(
+    workdir, tmp_path, capsys, file, key, value, message
+):
+    _set(workdir / file, key, value)
+    rc = main(["run", "--config", str(workdir / "small.conf"), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_params_that_do_not_coerce_are_invalid_params(workdir):
+    from hmpc.battery import InvalidParams, load_params
+
+    _set(workdir / "battery.kv", "period_length_n", "6.5")
+    with pytest.raises(InvalidParams, match="period_length_n must be an integer"):
+        load_params(workdir / "battery.kv")
+
+
+def test_a_broken_invariant_exits_one(workdir, tmp_path, monkeypatch, capsys):
+    import dataclasses
+
+    import hmpc.stage
+
+    solve = hmpc.stage.solve_stage
+
+    def infeasible_dual(*args):
+        res = solve(*args)
+        return dataclasses.replace(res, dual_vertex=res.dual_vertex + 1e3)
+
+    monkeypatch.setattr(hmpc.stage, "solve_stage", infeasible_dual)
+    rc = main(["run", "--config", str(workdir / "small.conf"), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "period 1: the stage dual is not dual feasible" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["capacity_Ebar", "demand_charge_piD"])
 def test_non_finite_battery_param_exits_one_naming_it(workdir, tmp_path, capsys, name):
     params = read_kv(workdir / "battery.kv")

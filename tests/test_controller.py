@@ -1,11 +1,14 @@
 """Period loop: cut bookkeeping, gap audits, settling, simulation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import hmpc.controller
 import hmpc.cuts
-from bruteforce import chained_rescale, full_master
+import hmpc.stage
+from bruteforce import chained_rescale, full_master, scratch_cut
 from fixtures import SETTLE_W_STAR, settle_setup
 from toys import TinyData, toy_template
 
@@ -19,14 +22,14 @@ from hmpc.battery import (
 )
 from hmpc.cli import main
 from hmpc.controller import (
-    NegativeStageCost,
+    BrokenInvariant,
     initial_state,
     run_simulation,
     running_cost,
     step_period,
 )
 from hmpc.oracle import solve_saa
-from hmpc.scenarios import load_pool, sample_period, stream, synthetic_pool
+from hmpc.scenarios import collapse, load_pool, sample_period, stream, synthetic_pool
 from hmpc.stage import solve_stage
 
 TOY_BOX = np.array([[0.0, 4.0], [0.0, 2.0]])
@@ -216,9 +219,78 @@ def test_running_cost_requires_history():
 def test_negative_stage_cost_is_refused_before_it_is_stored():
     template = toy_template()
     state = initial_state(template, TOY_CW, TOY_BOX)
-    with pytest.raises(NegativeStageCost, match="period 1.*cost_offset"):
+    with pytest.raises(BrokenInvariant, match="period 1.*cost_offset"):
         step_period(state, TinyData(cost=(-1.0, 1.0, 1.0)))
     assert len(state.store) == 0 and not state.history and not state.cuts
+
+
+def _snapshot(state):
+    store = state.store
+    return (list(store.days), list(store.counts), store._V.copy(), list(state.history),
+            state.cut_alpha.copy(), state.cut_beta.copy(), state.working_set.copy(),
+            state.targets_w.copy(), state.realized_cost_accum)
+
+
+def _assert_same(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y
+
+
+def _two_toy_periods():
+    state = initial_state(toy_template(), TOY_CW, TOY_BOX, w1=np.array([1.0, 1.0]))
+    for d in (TinyData(cost=(2.0, 1.0, 2.0)), TinyData(cost=(1.0, 3.0, 2.0))):
+        step_period(state, d)
+    return state
+
+
+@pytest.mark.parametrize("scale, shift, message", [
+    (1.0, 10.0, "period 3: the stage dual is not dual feasible"),
+    (0.5, 0.0, "period 3: the stage dual prices the stage at"),
+])
+def test_a_stage_dual_that_fails_its_check_is_refused(monkeypatch, scale, shift, message):
+    """A dual vertex outside {W(d)'pi <= c(d)}, or a feasible one that is
+    not optimal, stops the period before anything is stored."""
+    state = _two_toy_periods()
+    before = _snapshot(state)
+    solve = hmpc.stage.solve_stage
+
+    def perturbed(*args):
+        res = solve(*args)
+        return replace(res, dual_vertex=res.dual_vertex * scale + shift)
+
+    monkeypatch.setattr(hmpc.stage, "solve_stage", perturbed)
+    with pytest.raises(BrokenInvariant, match=message):
+        step_period(state, TinyData(cost=(0.5, 2.0, 1.0)))
+    _assert_same(_snapshot(state), before)
+
+
+def test_a_lower_bound_above_the_running_cost_is_refused(monkeypatch):
+    """An audited period whose cut lifts the envelope over phi_m stops, and
+    the state, class table included, is as before: stepping the same day
+    afterwards gives what a run that never failed gives."""
+    state = _two_toy_periods()
+    before = _snapshot(state)
+    generate_cut = hmpc.controller.generate_cut
+
+    def lifted(*args):
+        cut = generate_cut(*args)
+        return replace(cut, alpha=cut.alpha + 100.0)
+
+    day = TinyData(cost=(0.5, 2.0, 1.0))
+    with monkeypatch.context() as mp:
+        mp.setattr(hmpc.controller, "generate_cut", lifted)
+        with pytest.raises(BrokenInvariant, match="period 3: lower bound .* above the running cost"):
+            step_period(state, day)
+    _assert_same(_snapshot(state), before)
+    _, rec = step_period(state, day)
+    clean = _two_toy_periods()
+    _, ref = step_period(clean, day)
+    _assert_same(list(vars(rec).values()), list(vars(ref).values()))
+    _assert_same(_snapshot(state), _snapshot(clean))
 
 
 def test_every_audited_gap_is_nonnegative_on_the_arbitrage_fixture(arbitrage_run):
@@ -282,6 +354,38 @@ def test_cut_arrays_equal_the_per_cut_rescale_on_the_demo_stream(demo_inputs, mo
     np.testing.assert_array_equal(state.cut_alpha, [c.alpha for c in ref])
     np.testing.assert_array_equal(state.cut_beta, [c.beta for c in ref])
     assert [c.birth_period for c in state.cuts] == [c.birth_period for c in ref]
+
+
+def test_class_table_is_the_collapsed_history_on_the_demo_stream(demo_inputs, monkeypatch):
+    """After every period the store's days and counts are collapse(history),
+    the same day objects in the same order, and the period's cut equals,
+    bit for bit, one rebuilt from the history with fresh certificate checks."""
+    template = demo_inputs[0]
+    made, checked = [], []
+    generate_cut, step_period = hmpc.controller.generate_cut, hmpc.controller.step_period
+
+    def recorded(store, w, tpl):
+        made.append((generate_cut(store, w, tpl), store._V, w))
+        return made[-1][0]
+
+    def checked_step(state, realized, **kwargs):
+        out = step_period(state, realized, **kwargs)
+        days, counts = collapse(state.history)
+        assert len(state.store.days) == len(days)
+        assert all(a is b for a, b in zip(state.store.days, days))
+        assert state.store.counts == counts
+        cut, V, w = made[-1]
+        alpha, beta = scratch_cut(V, template, state.history, w)
+        np.testing.assert_array_equal(cut.alpha, alpha)
+        np.testing.assert_array_equal(cut.beta, beta)
+        checked.append(len(state.history))
+        return out
+
+    monkeypatch.setattr(hmpc.controller, "generate_cut", recorded)
+    monkeypatch.setattr(hmpc.controller, "step_period", checked_step)
+    state = run_simulation(*demo_inputs, periods=60, **DEMO_RUN).state
+    assert checked == list(range(1, 61))
+    assert 1 < len(state.store.days) < 60
 
 
 @pytest.fixture(scope="module")

@@ -28,7 +28,7 @@ def run_periods(history, targets):
     store = VertexStore(n_rows=tpl.n_rows)
     for d, w in zip(history, targets):
         res = solve_stage(tpl, w, d)
-        store.insert(res.dual_vertex, d.key)
+        store.insert(res.dual_vertex, d)
     return tpl, store
 
 
@@ -53,7 +53,7 @@ def test_single_period_cut_is_exact_at_its_targets():
     d = TinyData(cost=(1.0, 3.0, 2.0))
     w = np.array([1.0, 0.5])
     tpl, store = run_periods([d], [w])
-    cut = generate_cut(store, [d], w, tpl)
+    cut = generate_cut(store, w, tpl)
     res = solve_stage(tpl, w, d)
     np.testing.assert_allclose(cut.alpha, res.dual_vertex @ np.asarray(d.rhs))
     np.testing.assert_allclose(cut.beta, -T_TOY.T @ res.dual_vertex)
@@ -69,7 +69,7 @@ def test_two_period_cut_matches_hand_arithmetic():
     w1 = np.array([1.0, 0.5])
     w2 = np.array([2.0, 1.0])
     tpl, store = run_periods([d1, d2], [w1, w2])
-    cut = generate_cut(store, [d1, d2], w2, tpl)
+    cut = generate_cut(store, w2, tpl)
 
     V = store._V
     alpha_hand, beta_hand = 0.0, np.zeros(2)
@@ -97,7 +97,7 @@ def test_cut_is_valid_everywhere_in_box():
         np.array([rng.uniform(0, 4), rng.uniform(0, 2)]) for _ in history
     ]
     tpl, store = run_periods(history, targets)
-    cut = generate_cut(store, history, targets[-1], tpl)
+    cut = generate_cut(store, targets[-1], tpl)
     for _ in range(20):
         w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
         bound = cut.alpha + float((CW + cut.beta) @ w)
@@ -108,13 +108,11 @@ def test_infeasible_vertices_are_filtered():
     expensive = TinyData(cost=(10.0, 10.0, 10.0))
     cheap = TinyData(cost=(1.0, 1.0, 1.0))
     w = np.array([1.0, 0.5])
-    tpl, store = run_periods([expensive], [w])
-    mask = store.certified_mask(cheap, tpl)
-    assert not mask.any()  # pricey duals overestimate the cheap scenario
-    with pytest.raises(EmptyStore, match="certified"):
-        generate_cut(store, [cheap], w, tpl)
-    store.insert(solve_stage(tpl, w, cheap).dual_vertex, cheap.key)
-    cut = generate_cut(store, [expensive, cheap], w, tpl)
+    tpl, store = run_periods([expensive, cheap], [w, w])
+    mask = store.certified_mask(1, tpl)
+    assert not mask[0]  # pricey duals overestimate the cheap scenario
+    assert mask[1] and store.certified_mask(0, tpl).all()
+    cut = generate_cut(store, w, tpl)
     for x0 in np.linspace(0, 4, 9):
         for eta in np.linspace(0, 2, 5):
             probe = np.array([x0, eta])
@@ -123,15 +121,39 @@ def test_infeasible_vertices_are_filtered():
             ) + 1e-8
 
 
+def test_generate_cut_needs_a_counted_period():
+    tpl = toy_template()
+    with pytest.raises(EmptyStore, match="no period"):
+        generate_cut(VertexStore(n_rows=tpl.n_rows), np.array([1.0, 0.5]), tpl)
+
+
 def test_store_dedups_and_inherits_certificates():
+    a, b = TinyData(cost=(1.0, 3.0, 2.0)), TinyData(cost=(2.0, 0.5, 4.0))
     store = VertexStore(n_rows=2)
-    i = store.insert(np.array([1.0, 2.0]), "a")
-    j = store.insert(np.array([1.0, 2.0 + 1e-12]), "b")
+    i = store.insert(np.array([1.0, 2.0]), a)
+    j = store.insert(np.array([1.0, 2.0 + 1e-12]), b)
     assert i == j and len(store) == 1
-    k = store.insert(np.array([1.0, 3.0]), "a")
+    k = store.insert(np.array([1.0, 3.0]), a)
     assert k == 1 and len(store) == 2
     with pytest.raises(ValueError):
-        store.insert(np.array([1.0, 2.0, 3.0]), "a")
+        store.insert(np.array([1.0, 2.0, 3.0]), a)
+    assert store.days == [a, b] and store.counts == [2, 1]
+    np.testing.assert_array_equal(store._verdicts, [[1, 1], [1, 0]])
+
+
+def test_uncount_takes_back_an_insert():
+    a, b = TinyData(cost=(1.0, 3.0, 2.0)), TinyData(cost=(2.0, 0.5, 4.0))
+    store = VertexStore(n_rows=2)
+    store.insert(np.array([1.0, 2.0]), a)
+    store.insert(np.array([1.0, 3.0]), b)
+    store.uncount(b, 1)
+    assert store.days == [a] and store.counts == [1] and len(store) == 1
+    store.insert(np.array([1.0, 2.0]), a)
+    store.uncount(a, 1)
+    assert store.days == [a] and store.counts == [1] and len(store) == 1
+    assert store.insert(np.array([1.0, 4.0]), b) == 1
+    assert store.days == [a, b] and store.counts == [1, 1]
+    np.testing.assert_array_equal(store._verdicts, [[1, 0], [0, 1]])
 
 
 PROPERTY_CLASSES = [
@@ -155,9 +177,11 @@ def test_certified_mask_matches_a_fresh_check(ops):
         d = PROPERTY_CLASSES[k]
         if is_insert:
             pi = solve_stage(tpl, PROPERTY_TARGETS[t], d).dual_vertex
-            inserted.add((store.insert(pi, d.key), k))
+            inserted.add((store.insert(pi, d), k))
             continue
-        mask = store.certified_mask(d, tpl)
+        if d not in store.days:
+            continue
+        mask = store.certified_mask(store.days.index(d), tpl)
         c = np.asarray(d.cost)
         fresh = (store._V @ W_TOY <= c + 1e-9 * (1 + np.abs(c))).all(axis=1)
         np.testing.assert_array_equal(mask, fresh)
@@ -193,7 +217,7 @@ def test_rescaled_cut_still_bounds_grown_average():
     history = [pool[int(k)] for k in rng.integers(0, 3, size=2)]
     targets = [np.array([1.0, 0.5]), np.array([2.0, 1.0])]
     tpl, store = run_periods(history, targets)
-    cut = generate_cut(store, history, targets[-1], tpl)
+    cut = generate_cut(store, targets[-1], tpl)
     alpha, beta = np.array([cut.alpha]), cut.beta[None]
     for extra in range(3):
         history.append(pool[extra])
@@ -290,7 +314,7 @@ def test_master_is_outer_approximation():
     history = [pool[k % 2] for k in range(4)]
     targets = [np.array([rng.uniform(0, 4), rng.uniform(0, 2)]) for _ in history]
     tpl, store = run_periods(history, targets)
-    cut = generate_cut(store, history, targets[-1], tpl)
+    cut = generate_cut(store, targets[-1], tpl)
     _, lb, _ = solve_master(*stacked([cut]), BOX)
     for _ in range(10):
         w = np.array([rng.uniform(0, 4), rng.uniform(0, 2)])
@@ -332,11 +356,11 @@ def test_scenario_value_bound_tracks_store_growth():
     assert scenario_value_bound(store, tpl, d, w) == -np.inf
 
     res = solve_stage(tpl, w, d)
-    store.insert(res.dual_vertex, d.key)
+    store.insert(res.dual_vertex, d)
     h_bound = scenario_value_bound(store, tpl, d, w)
     assert h_bound == pytest.approx(res.cost_h, abs=1e-9)
 
-    store.insert(solve_stage(tpl, np.array([3.0, 1.5]), other).dual_vertex, other.key)
+    store.insert(solve_stage(tpl, np.array([3.0, 1.5]), other).dual_vertex, other)
     probe = np.array([2.5, 1.0])
     grown = scenario_value_bound(store, tpl, d, probe)
     assert grown <= solve_stage(tpl, probe, d).cost_h + 1e-9

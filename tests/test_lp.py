@@ -337,7 +337,7 @@ def mixed_sign_lps(draw):
     one column scaled by up to 1e6.  The absolute tolerances misjudge a
     few of these too: about one run of the test in 12 to 24 draws such an
     LP (the strict xfail above pins one with a 5e6 column), and more once
-    the scale passes 1e6; see ROADMAP item 2."""
+    the scale passes 1e6; see ROADMAP item 10."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
     small = st.integers(-5, 5).map(float)
