@@ -202,7 +202,10 @@ def cmd_run(args) -> int:
     pool, template, box, cw = _load_setup(config_path, cfg)
 
     def number(key, default=None, kind=int):
-        return coerce(key, cfg.get(key, default), kind)
+        value = coerce(key, cfg.get(key, default), kind)
+        if kind is float and not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
+        return value
 
     horizon = number("horizon", 100)
     seed = number("seed", 0)

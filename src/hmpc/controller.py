@@ -4,8 +4,8 @@ Each period m runs with targets w_m fixed: an intra-period MPC plans the
 hours against a forecast, the realized data d_m is observed at the
 boundary, and the retroactive layer then
 
-1. solves the stage problem at (w_m, d_m) for a dual vertex, checks
-   it, and counts d_m's class in the store's class table,
+1. solves the stage problem at (w_m, d_m) for a certified dual vertex,
+   checks h >= 0, and counts d_m's class in the store's class table,
 2. rescales the standing cuts by (m-1)/m and adds one cut built from
    every class of the table at w_m,
 3. prices the targets: running cost phi_m(w_m) by one stage solve per
@@ -28,7 +28,6 @@ import numpy as np
 from hmpc.cuts import (
     Cut,
     VertexStore,
-    dual_excess,
     generate_cut,
     lower_bound_at,
     rescale_cuts,
@@ -42,21 +41,7 @@ from hmpc.scenarios import (
     sample_period,
     stream,
 )
-from hmpc.stage import StageSolveCache, StageTemplate
-
-
-# Round-off allowed in the period's own stage dual, relative to the size of
-# the terms summed: max|pi| for W(d)'pi, |pi|'|r - Tw| for the dual value.
-# On the arbitrage test fixture (elastic penalty 2e7) duals of 2e7 leave
-# W(d)'pi 2.7e-9 past c(d) + _FEAS_TOL (1 + |c|) and pi'(r - Tw) 2.4e-6
-# from a stage cost of 90; both are about 1e-16 of those sizes.
-_ROUND_TOL = 1e-12
-
-
-class BrokenInvariant(ValueError):
-    """A run-time check of the period loop failed: a negative stage cost
-    (cut rescaling needs h >= 0), a stage dual that is not dual feasible
-    or misses the stage cost, or a lower bound above the running cost."""
+from hmpc.stage import BrokenInvariant, StageResult, StageSolveCache, StageTemplate
 
 
 @dataclass
@@ -164,29 +149,12 @@ def running_cost(state: HierarchyState, w: np.ndarray) -> float:
     return float(state.design_cost @ w) + total / m
 
 
-def _certify_stage(template: StageTemplate, m: int, w: np.ndarray, d, res) -> None:
-    """The period's stage solve may donate its vertex: h >= 0, W(d)'pi <=
-    c(d) as ``dual_excess`` checks it, and pi'(r(d) - Tw) = h to 1e-9
-    (1 + |h|); the last two also allow round-off of _ROUND_TOL."""
-    h, pi = res.cost_h, res.dual_vertex
-    if h < -1e-7 * (1 + abs(h)):
-        raise BrokenInvariant(
-            f"period {m}: stage cost {h:.6g} is negative, so the cuts would "
-            "not bound the running cost; raise cost_offset in the battery parameters"
-        )
-    size = np.abs(pi)
-    excess = float(dual_excess(pi[None], template, d)[0])
-    if not excess <= _ROUND_TOL * size.max():
-        raise BrokenInvariant(
-            f"period {m}: the stage dual is not dual feasible, "
-            f"W(d)'pi exceeds c(d) by {excess:.3g} past the tolerance"
-        )
-    b = template.rhs_builder(d) - template.coupling_T @ w
-    gap = abs(float(pi @ b) - h)
-    if not gap <= 1e-9 * (1 + abs(h)) + _ROUND_TOL * float(size @ np.abs(b)):
-        raise BrokenInvariant(
-            f"period {m}: the stage dual prices the stage at {gap:.3g} from its cost {h:.6g}"
-        )
+def _solve_in_period(cache: StageSolveCache, m: int, w: np.ndarray, d) -> StageResult:
+    """``cache.solve``, with a failed certificate naming period m."""
+    try:
+        return cache.solve(w, d)
+    except BrokenInvariant as err:
+        raise BrokenInvariant(f"period {m}: {err}") from None
 
 
 def step_period(
@@ -199,15 +167,19 @@ def step_period(
 
     ``audit=False`` skips the O(m) running-cost evaluation (the cut and
     target updates always happen).  Passing the generating pool adds the
-    exact overall gap to audited rows.  A failed check (``_certify_stage``
-    before the vertex is stored; on audited periods, a lower bound above
-    the running cost by more than 1e-7 (1 + |phi|)) raises
-    BrokenInvariant, and any exception leaves the state as it was.
+    exact overall gap to audited rows.  A failed check raises
+    BrokenInvariant: any stage solve's certificate, h >= 0 before the
+    vertex is stored, and on audited periods a lower bound at most 1e-7
+    (1 + |phi|) above the running cost.  Any exception undoes the period.
     """
     m = len(state.history) + 1
     w_m = state.targets_w
-    res = state.cache.solve(w_m, realized)
-    _certify_stage(state.template, m, w_m, realized, res)
+    res = _solve_in_period(state.cache, m, w_m, realized)
+    if res.cost_h < -1e-7 * (1 + abs(res.cost_h)):
+        raise BrokenInvariant(
+            f"period {m}: stage cost {res.cost_h:.6g} is negative, so the cuts would "
+            "not bound the running cost; raise cost_offset in the battery parameters"
+        )
     n_vertices = len(state.store)
     state.store.insert(res.dual_vertex, realized)
     try:
@@ -292,7 +264,7 @@ def run_simulation(
     for m in range(1, periods + 1):
         truth = sample_period(pool, data_rng)
         if m <= keep_planned:
-            mpc = state.cache.solve(state.targets_w, model.make_forecast(truth))
+            mpc = _solve_in_period(state.cache, m, state.targets_w, model.make_forecast(truth))
             planned.append((m, state.targets_w.copy(), mpc))
         audit = default_audit_stride(m, audit_full_until, audit_stride)
         _, record = step_period(

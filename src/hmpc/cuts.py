@@ -31,8 +31,8 @@ in the constraint matrix) that is scenario dependent, so the table also
 keeps one verdict per class and vertex: certified, refused, or not
 checked yet.  The per-class argmax in generate_cut only looks at
 certified vertices.  A vertex is certified for the class it was solved
-under when it is inserted (step_period checks it first); other classes
-check it once, the first time they ask.
+under when it is inserted (stage.solve_stage checked it); other classes
+check it once, by the same test, the first time they ask.
 """
 
 from __future__ import annotations
@@ -42,12 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from hmpc.lp import GeneralLP, LPStatus, solve_general
-from hmpc.stage import StageTemplate
+from hmpc.stage import StageTemplate, dual_excess
 
 # Vertices closer than this in max norm are stored once.
 _DEDUP_TOL = 1e-9
-# Relative slack of the dual feasibility check W(d)'pi <= c(d).
-_FEAS_TOL = 1e-9
 # A cut above the master's theta by more than this, relative to 1 + |theta|,
 # is violated; one within it of theta is binding.
 _MASTER_TOL = 1e-9
@@ -140,24 +138,16 @@ class VertexStore:
     def certified_mask(self, k: int, template: StageTemplate) -> np.ndarray:
         """Which vertices may price class k.
 
-        Unchecked vertices are tested against W(d)'pi <= c(d) at the
-        class's day (``dual_excess``), and the verdicts kept.
+        Unchecked vertices are tested at the class's day by
+        ``stage.dual_excess``, as every stage solve is, and the verdicts kept.
         """
         verdict = self._verdicts[k]
         unknown = np.flatnonzero(verdict == 0)
         if unknown.size:
-            ok = dual_excess(self._V[unknown], template, self.days[k]) <= 0
-            verdict[unknown] = np.where(ok, 1, -1)
+            d = self.days[k]
+            W, c = template.matrix_builder(d), template.cost_builder(d)
+            verdict[unknown] = np.where(dual_excess(self._V[unknown], W, c) <= 0, 1, -1)
         return verdict == 1
-
-
-def dual_excess(V: np.ndarray, template: StageTemplate, d) -> np.ndarray:
-    """For each row pi of V, the largest amount by which W(d)'pi exceeds
-    c(d) + _FEAS_TOL (1 + |c(d)|), column by column; pi is dual feasible
-    for d where this is <= 0."""
-    c = template.cost_builder(d)
-    bound = c + _FEAS_TOL * (1.0 + np.abs(c))
-    return (V @ template.matrix_builder(d) - bound).max(axis=1)
 
 
 def generate_cut(store: VertexStore, w: np.ndarray, template: StageTemplate) -> Cut:

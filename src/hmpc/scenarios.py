@@ -102,8 +102,8 @@ class ScenarioPool:
             raise ValueError("pool needs at least one realization")
         if w.size != len(self.support):
             raise ValueError("one weight per support point required")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
+        if not (np.isfinite(w).all() and (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9):
+            raise ValueError("weights must be finite, nonnegative and sum to 1")
         n = self.support[0].n_steps
         if any(d.n_steps != n for d in self.support):
             raise ValueError("all support points must share the period length")

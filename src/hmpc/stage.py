@@ -14,7 +14,8 @@ in which case only the rows containing those fractions change.
 
 ``solve_stage`` returns the optimal cost together with the dual vector of
 the canonical rows, which is a vertex of the dual feasible set
-{pi : W(d).T pi <= c(d)} and the raw material for retroactive cuts.
+{pi : W(d).T pi <= c(d)} and the raw material for retroactive cuts,
+certified on the LP it was read from (``dual_excess``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,19 @@ from typing import Callable
 import numpy as np
 
 from hmpc.lp import LPStatus, StandardLP, VarMap, solve_lp
+
+
+# Relative slack of the dual feasibility check W(d)'pi <= c(d).
+_FEAS_TOL = 1e-9
+# Round-off allowed in a dual vertex, relative to the terms summed: max|pi|
+# for W(d)'pi, |pi|'|r - Tw| for pi'(r - Tw).  Duals of 2e7 on the arbitrage
+# test fixture (elastic penalty 2e7) miss by about 1e-16 of those sizes.
+_ROUND_TOL = 1e-12
+
+
+class BrokenInvariant(ValueError):
+    """A run-time check failed: a stage dual off its certificate, or a
+    precondition of the period loop (see controller.step_period)."""
 
 
 class StageInfeasible(Exception):
@@ -99,12 +113,22 @@ def build_stage(template: StageTemplate, w: np.ndarray, d) -> StandardLP:
     )
 
 
+def dual_excess(V: np.ndarray, W: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """For each row pi of V, the largest amount by which W'pi exceeds
+    c + _FEAS_TOL (1 + |c|) + _ROUND_TOL max|pi|, column by column; pi is
+    dual feasible for (W, c) where this is <= 0."""
+    bound = c + _FEAS_TOL * (1.0 + np.abs(c))
+    return (V @ W - bound).max(axis=1) - _ROUND_TOL * np.abs(V).max(axis=1)
+
+
 def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
     """Solve the stage LP; returns cost, dual vertex and trajectories.
 
     Raises StageInfeasible / StageUnbounded instead of returning a status,
     since a healthy template (elastic peak rows, boxed state) always
-    admits a bounded optimum.
+    admits a bounded optimum.  Raises BrokenInvariant unless the dual pi
+    passes ``dual_excess`` and |pi'(r - Tw) - h| <= 1e-9 (1 + |h|) plus
+    _ROUND_TOL |pi|'|r - Tw|.
     """
     lp = build_stage(template, w, d)
     sol = solve_lp(lp)
@@ -115,11 +139,21 @@ def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
         )
     if sol.status is LPStatus.UNBOUNDED:
         raise StageUnbounded("stage problem unbounded; check price signs and bounds")
+    h, pi, b = float(sol.objective), sol.dual, lp.eq_rhs
+    excess = float(dual_excess(pi[None], lp.eq_matrix, lp.cost)[0])
+    if not excess <= 0:
+        raise BrokenInvariant(
+            "the stage dual is not dual feasible, "
+            f"W(d)'pi exceeds c(d) by {excess:.3g} past the tolerance"
+        )
+    gap = abs(float(pi @ b) - h)
+    if not gap <= 1e-9 * (1 + abs(h)) + _ROUND_TOL * float(np.abs(pi) @ np.abs(b)):
+        raise BrokenInvariant(f"the stage dual prices the stage at {gap:.3g} from its cost {h:.6g}")
     slack_cols = template.col_tags.get("peak_slack")
     slack = float(sol.primal[slack_cols].sum()) if slack_cols is not None else 0.0
     return StageResult(
-        cost_h=float(sol.objective),
-        dual_vertex=sol.dual,
+        cost_h=h,
+        dual_vertex=pi,
         trajectories=template.var_map.original_primal(sol.primal),
         slack_activation=slack,
         iterations=sol.iterations,

@@ -127,9 +127,11 @@ def chained_rescale(births):
 
 
 def fresh_mask(V, template, d):
-    """Rows pi of V with W(d)'pi <= c(d) + 1e-9 (1 + |c(d)|) in every column."""
+    """Rows pi of V with W(d)'pi <= c(d) + 1e-9 (1 + |c(d)|) + 1e-12 max|pi|
+    in every column: the stage solve's tolerance, round-off included."""
     c = template.cost_builder(d)
-    return (V @ template.matrix_builder(d) <= c + 1e-9 * (1.0 + np.abs(c))).all(axis=1)
+    bound = c + 1e-9 * (1.0 + np.abs(c)) + 1e-12 * np.abs(V).max(axis=1)[:, None]
+    return (V @ template.matrix_builder(d) <= bound).all(axis=1)
 
 
 def scenario_value_bound(store, template, d, w):

@@ -150,6 +150,16 @@ def test_csv_pool_config_round_trips(workdir, tmp_path):
     assert len(read_rows(out / "metrics.csv")) == 3
 
 
+def test_gap_refuses_a_pool_with_a_non_finite_weight(workdir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(workdir / "small.conf"), "--out", str(out)]) == 0
+    doc = json.loads((workdir / "pool.json").read_text())
+    doc["weights"][0] = float("nan")
+    (workdir / "pool.json").write_text(json.dumps(doc))
+    assert main(["gap", "--run-dir", str(out)]) == 1
+    assert "weights must be finite, nonnegative and sum to 1" in capsys.readouterr().err
+
+
 def test_solver_breakdown_exits_one(workdir, tmp_path, monkeypatch, capsys):
     from hmpc.lp import NumericalBreakdown
 
@@ -250,10 +260,15 @@ def test_integer_keys_take_an_integral_float(workdir, tmp_path):
     ("battery.kv", "capacity_Ebar", "big", "capacity_Ebar must be a number, got 'big'"),
     ("small.conf", "horizon", "5.5", "horizon must be an integer, got '5.5'"),
     ("small.conf", "sigma", "abc", "sigma must be a number, got 'abc'"),
+    ("small.conf", "sigma", "nan", "sigma must be finite, got 'nan'"),
+    ("small.conf", "sigma", "inf", "sigma must be finite, got 'inf'"),
+    ("small.conf", "w1_state", "nan", "w1_state must be finite, got 'nan'"),
 ])
 def test_a_number_that_does_not_coerce_exits_one_naming_its_key(
     workdir, tmp_path, capsys, file, key, value, message
 ):
+    if key == "w1_state":
+        _set(workdir / file, "w1_peak", "100")
     _set(workdir / file, key, value)
     rc = main(["run", "--config", str(workdir / "small.conf"), "--out", str(tmp_path / "x")])
     assert rc == 1
@@ -273,13 +288,13 @@ def test_a_broken_invariant_exits_one(workdir, tmp_path, monkeypatch, capsys):
 
     import hmpc.stage
 
-    solve = hmpc.stage.solve_stage
+    solve = hmpc.stage.solve_lp
 
-    def infeasible_dual(*args):
-        res = solve(*args)
-        return dataclasses.replace(res, dual_vertex=res.dual_vertex + 1e3)
+    def infeasible_dual(lp):
+        sol = solve(lp)
+        return dataclasses.replace(sol, dual=sol.dual + 1e3)
 
-    monkeypatch.setattr(hmpc.stage, "solve_stage", infeasible_dual)
+    monkeypatch.setattr(hmpc.stage, "solve_lp", infeasible_dual)
     rc = main(["run", "--config", str(workdir / "small.conf"), "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "period 1: the stage dual is not dual feasible" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from hmpc.controller import (
 )
 from hmpc.oracle import solve_saa
 from hmpc.scenarios import collapse, load_pool, sample_period, stream, synthetic_pool
-from hmpc.stage import solve_stage
+from hmpc.stage import dual_excess, solve_stage
 
 TOY_BOX = np.array([[0.0, 4.0], [0.0, 2.0]])
 TOY_CW = np.array([0.0, 1.0])
@@ -253,18 +253,45 @@ def _two_toy_periods():
 ])
 def test_a_stage_dual_that_fails_its_check_is_refused(monkeypatch, scale, shift, message):
     """A dual vertex outside {W(d)'pi <= c(d)}, or a feasible one that is
-    not optimal, stops the period before anything is stored."""
+    not optimal, stops the period before anything is stored.  The fault is
+    in the LP solver, below the stage solve that certifies its dual."""
     state = _two_toy_periods()
     before = _snapshot(state)
-    solve = hmpc.stage.solve_stage
+    solve = hmpc.stage.solve_lp
 
-    def perturbed(*args):
-        res = solve(*args)
-        return replace(res, dual_vertex=res.dual_vertex * scale + shift)
+    def perturbed(lp):
+        sol = solve(lp)
+        return replace(sol, dual=sol.dual * scale + shift)
 
-    monkeypatch.setattr(hmpc.stage, "solve_stage", perturbed)
+    monkeypatch.setattr(hmpc.stage, "solve_lp", perturbed)
     with pytest.raises(BrokenInvariant, match=message):
         step_period(state, TinyData(cost=(0.5, 2.0, 1.0)))
+    _assert_same(_snapshot(state), before)
+
+
+def test_an_audit_solve_that_fails_its_check_is_refused(monkeypatch):
+    """The audit re-solves every class at the period's targets; a dual
+    that fails its certificate there stops the period too, and the state
+    is as before."""
+    state = initial_state(toy_template(), TOY_CW, TOY_BOX, w1=np.array([1.0, 1.0]))
+    first = TinyData(cost=(2.0, 1.0, 2.0))
+    step_period(state, first)
+    before = _snapshot(state)
+    first_cost = state.template.cost_builder(first)
+    solve = hmpc.stage.solve_lp
+    faulted = []
+
+    def perturbed(lp):
+        sol = solve(lp)
+        if not np.array_equal(lp.cost, first_cost):
+            return sol
+        faulted.append(lp)
+        return replace(sol, dual=sol.dual + 10.0)
+
+    monkeypatch.setattr(hmpc.stage, "solve_lp", perturbed)
+    with pytest.raises(BrokenInvariant, match="the stage dual is not dual feasible"):
+        step_period(state, TinyData(cost=(1.0, 3.0, 2.0)))
+    assert faulted
     _assert_same(_snapshot(state), before)
 
 
@@ -291,6 +318,18 @@ def test_a_lower_bound_above_the_running_cost_is_refused(monkeypatch):
     _, ref = step_period(clean, day)
     _assert_same(list(vars(rec).values()), list(vars(ref).values()))
     _assert_same(_snapshot(state), _snapshot(clean))
+
+
+def test_store_verdicts_are_the_stage_test_on_the_arbitrage_fixture(arbitrage_run):
+    """Every (class, vertex) verdict of the store is ``dual_excess`` at the
+    class's day, whether the period's own solve or a later query set it.
+    Duals of 2e7 here carry round-off past the plain tolerance, so a
+    vertex with a looser test for its own class would be refused for the
+    others."""
+    store, template = arbitrage_run.state.store, arbitrage_run.state.template
+    for k, d in enumerate(store.days):
+        excess = dual_excess(store._V, template.matrix_builder(d), template.cost_builder(d))
+        np.testing.assert_array_equal(store.certified_mask(k, template), excess <= 0)
 
 
 def test_every_audited_gap_is_nonnegative_on_the_arbitrage_fixture(arbitrage_run):
