@@ -25,7 +25,6 @@ import numpy as np
 
 from hmpc.battery import (
     BatteryParams,
-    InvalidParams,
     build_template,
     decode_trajectory,
     design_cost,
@@ -35,20 +34,12 @@ from hmpc.battery import (
     with_offset,
 )
 from hmpc.controller import run_simulation
-from hmpc.cuts import EmptyCuts, EmptyStore, MasterInfeasible
 from hmpc.kv import coerce, read_kv, write_kv
 from hmpc.lp import LPError
-from hmpc.oracle import (
-    DEFAULT_CAP,
-    OracleCapExceeded,
-    reference_cost,
-    solve_nonperiodic,
-    solve_saa,
-)
+from hmpc.oracle import reference_cost, solve_nonperiodic, solve_saa
 from hmpc.scenarios import (
     CSV_HEADER,
     ScenarioPool,
-    SchemaError,
     load_csv,
     load_pool,
     sample_period,
@@ -56,23 +47,10 @@ from hmpc.scenarios import (
     stream,
     synthetic_pool,
 )
-from hmpc.stage import StageInfeasible, StageSolveCache, StageUnbounded
+from hmpc.stage import StageSolveCache
 
-USER_ERRORS = (
-    ValueError,
-    KeyError,
-    OSError,
-    json.JSONDecodeError,
-    SchemaError,
-    InvalidParams,
-    OracleCapExceeded,
-    StageInfeasible,
-    StageUnbounded,
-    EmptyStore,
-    EmptyCuts,
-    MasterInfeasible,
-    LPError,
-)
+# Every error hmpc raises is a ValueError or an LPError.
+USER_ERRORS = (ValueError, KeyError, OSError, LPError)
 
 RUN_KEYS = {
     "pool_file",
@@ -134,6 +112,12 @@ def _load_setup(config_path: Path, cfg: dict):
         days = load_csv(base / cfg["pool_csv"])
         pool = ScenarioPool(support=tuple(days), weights=np.full(len(days), 1 / len(days)))
     params = load_params(base / cfg["params_file"])
+    n_pool = pool.support[0].n_steps
+    if params.period_length_n != n_pool:
+        raise ValueError(
+            f"params file has period_length_n = {params.period_length_n}, "
+            f"but the pool's days have {n_pool} steps"
+        )
     template = build_template(params)
     max_load = float(max(d.load.max() for d in pool.support))
     return pool, template, target_box(params, max_load), design_cost(params)
@@ -327,8 +311,8 @@ def cmd_oracle(args) -> int:
 
     rng = stream(seed)
     history = [sample_period(pool, rng) for _ in range(periods)]
-    targets, value_p = solve_saa(template, history, box, cw, cap=args.cap)
-    value_np, peak_np = solve_nonperiodic(template, history, cw, cap=args.cap)
+    targets, value_p = solve_saa(template, history, box, cw)
+    value_np, peak_np = solve_nonperiodic(template, history, cw)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -411,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--periods", type=int, default=8)
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="extensive-form block cap")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gap", help="recompute exact gaps for a run directory")

@@ -63,7 +63,6 @@ class GapRecord:
     running_cost: float | None = None
     current_gap_eps: float | None = None
     overall_gap_epsbar: float | None = None
-    slack_activation: float = 0.0
 
 
 @dataclass
@@ -198,7 +197,6 @@ def step_period(
             lower_bound=lb,
             master_bound=master_bound,
             targets_next=w_next.copy(),
-            slack_activation=res.slack_activation,
         )
         if audit:
             phi = running_cost(state, w_m)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from hmpc.lp import GeneralLP, LPStatus, solve_general
+from hmpc.lp import GeneralLP, LPError, LPStatus, solve_general
 from hmpc.stage import StageTemplate, dual_excess
 
 # Vertices closer than this in max norm are stored once.
@@ -51,15 +51,15 @@ _DEDUP_TOL = 1e-9
 _MASTER_TOL = 1e-9
 
 
-class EmptyStore(Exception):
+class EmptyStore(ValueError):
     pass
 
 
-class EmptyCuts(Exception):
+class EmptyCuts(ValueError):
     pass
 
 
-class MasterInfeasible(Exception):
+class MasterInfeasible(LPError):
     pass
 
 

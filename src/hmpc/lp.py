@@ -33,12 +33,11 @@ of the same data return bit-identical answers.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 
 class LPStatus(Enum):
@@ -141,19 +140,20 @@ class _Factor:
             rows = self.basis[art] - n
             B[:, art] = 0.0
             B[rows, art] = np.where(self.b[rows] < 0, -1.0, 1.0)
-        try:
-            # A singular basis only warns (an exactly zero pivot of U).
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", LinAlgWarning)
-                # The gathered basis is a fresh array: factor it in place.
-                self.lu = lu_factor(B, overwrite_a=True)
-        except (LinAlgWarning, ValueError) as exc:  # ValueError: inf or NaN entries
-            raise NumericalBreakdown(f"basis factorization failed: {exc}") from exc
+        # The gathered basis is a fresh array: factor it in place.  getrf
+        # reports an exactly zero pivot of U through info.
+        lu, piv, info = dgetrf(B, overwrite_a=True)
+        if info > 0:
+            raise NumericalBreakdown(
+                f"basis factorization failed: Diagonal number {info} is exactly zero. "
+                "Singular matrix."
+            )
+        self.lu = lu, piv
         self.etas.clear()
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         """Solve B x = v."""
-        x = lu_solve(self.lu, v, check_finite=False)
+        x = dgetrs(*self.lu, v)[0]
         for r, u in self.etas:
             t = x[r] / u[r]
             x -= u * t
@@ -165,7 +165,7 @@ class _Factor:
         y = np.array(v, dtype=float)
         for r, u in reversed(self.etas):
             y[r] = (y[r] - u @ y + u[r] * y[r]) / u[r]
-        return lu_solve(self.lu, y, trans=1, check_finite=False)
+        return dgetrs(*self.lu, y, trans=1)[0]
 
     def row(self, r: int) -> np.ndarray:
         """Row r of B^-1 A, zero on the basic columns."""

@@ -32,11 +32,11 @@ from hmpc.lp import GeneralLP, LPStatus, solve_general
 from hmpc.scenarios import ScenarioPool, collapse
 from hmpc.stage import StageSolveCache, StageTemplate, solve_stage
 
-DEFAULT_CAP = 40
+BLOCK_CAP = 40
 
 
-class OracleCapExceeded(Exception):
-    """The requested extensive form is larger than the configured cap."""
+class OracleCapExceeded(ValueError):
+    """The requested extensive form holds more than BLOCK_CAP blocks."""
 
 
 def _solve_extensive(
@@ -47,7 +47,6 @@ def _solve_extensive(
     shared_T: np.ndarray,
     shared_cost: np.ndarray,
     shared_box: np.ndarray,
-    cap: int,
     link: tuple[int, int, float] | None = None,
 ) -> tuple[np.ndarray, float]:
     """Build, solve and map back one extensive form.
@@ -62,8 +61,8 @@ def _solve_extensive(
     original variables.
     """
     k = len(days)
-    if k > cap:
-        raise OracleCapExceeded(f"{k} blocks exceed the cap of {cap}")
+    if k > BLOCK_CAP:
+        raise OracleCapExceeded(f"{k} blocks exceed the cap of {BLOCK_CAP}")
     n_s = shared_T.shape[1]
     rows_b, cols_b = int(keep.sum()), template.n_cols
     n_rows = k * rows_b + (k - 1 if link else 0)
@@ -102,12 +101,12 @@ def _solve_extensive(
     return point[:n_s].copy(), vmap.original_objective(sol.objective)
 
 
-def _weighted_saa(template, days, weights, box, design_cost, cap):
+def _weighted_saa(template, days, weights, box, design_cost):
     keep = np.ones(template.n_rows, dtype=bool)
     costs = (wt * template.cost_builder(d) for d, wt in zip(days, weights))
     return _solve_extensive(
         template, days, costs, keep, template.coupling_T, design_cost,
-        np.asarray(box, float), cap,
+        np.asarray(box, float),
     )
 
 
@@ -116,14 +115,13 @@ def solve_saa(
     history: list,
     box: np.ndarray,
     design_cost: np.ndarray,
-    cap: int = DEFAULT_CAP,
 ) -> tuple[np.ndarray, float]:
     """Exact minimizer and value of the running sample average phi_m."""
     if not history:
         raise ValueError("history is empty")
     reps, counts = collapse(history)
     weights = np.array(counts, dtype=float) / len(history)
-    return _weighted_saa(template, reps, weights, box, design_cost, cap)
+    return _weighted_saa(template, reps, weights, box, design_cost)
 
 
 def solve_pool_saa(
@@ -131,17 +129,15 @@ def solve_pool_saa(
     pool: ScenarioPool,
     box: np.ndarray,
     design_cost: np.ndarray,
-    cap: int = DEFAULT_CAP,
 ) -> tuple[np.ndarray, float]:
     """The true stochastic-program optimum over a finite-support pool."""
-    return _weighted_saa(template, list(pool.support), pool.weights, box, design_cost, cap)
+    return _weighted_saa(template, list(pool.support), pool.weights, box, design_cost)
 
 
 def solve_nonperiodic(
     template: StageTemplate,
     history: list,
     design_cost: np.ndarray,
-    cap: int = DEFAULT_CAP,
 ) -> tuple[float, float]:
     """Long-horizon relaxation: continuity instead of periodicity.
 
@@ -164,7 +160,7 @@ def solve_nonperiodic(
     lb = template.var_map.lower
     peak, value = _solve_extensive(
         template, history, (template.cost_builder(d) / m for d in history), keep,
-        template.coupling_T[keep, -1:], design_cost[-1:], np.array([[0.0, np.inf]]), cap,
+        template.coupling_T[keep, -1:], design_cost[-1:], np.array([[0.0, np.inf]]),
         link=(sl, sf, lb[sf] - lb[sl]),
     )
     return value, float(peak[0])

@@ -20,7 +20,7 @@ import numpy as np
 CSV_HEADER = ["hour", "energy_price", "fr_price", "load", "fr_request"]
 
 
-class SchemaError(Exception):
+class SchemaError(ValueError):
     """CSV file does not match the documented period-data schema."""
 
 
@@ -201,8 +201,9 @@ def load_csv(path) -> list:
                 vals = [float(x) for x in row]
             except ValueError as exc:
                 raise SchemaError(f"{path}:{i}: {exc}") from None
-            if vals[3] < 0:
-                raise ValueError(f"{path}:{i}: negative load {vals[3]}")
+            for name, v in zip(CSV_HEADER[1:4], vals[1:4]):
+                if not 0.0 <= v < np.inf:  # also refuses NaN
+                    raise ValueError(f"{path}:{i}: {name} {v} must be finite and nonnegative")
             if not 0.0 <= vals[4] <= 1.0:
                 raise ValueError(f"{path}:{i}: fr_request {vals[4]} outside [0, 1]")
             rows.append(vals)

@@ -41,11 +41,11 @@ class BrokenInvariant(ValueError):
     precondition of the period loop (see controller.step_period)."""
 
 
-class StageInfeasible(Exception):
+class StageInfeasible(ValueError):
     """A stage solve found no feasible operation for (w, d)."""
 
 
-class StageUnbounded(Exception):
+class StageUnbounded(ValueError):
     """A stage solve was unbounded; the model is missing a bound."""
 
 
@@ -96,7 +96,6 @@ class StageResult:
     cost_h: float
     dual_vertex: np.ndarray
     trajectories: np.ndarray
-    slack_activation: float
     iterations: int = 0
 
 
@@ -149,13 +148,10 @@ def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
     gap = abs(float(pi @ b) - h)
     if not gap <= 1e-9 * (1 + abs(h)) + _ROUND_TOL * float(np.abs(pi) @ np.abs(b)):
         raise BrokenInvariant(f"the stage dual prices the stage at {gap:.3g} from its cost {h:.6g}")
-    slack_cols = template.col_tags.get("peak_slack")
-    slack = float(sol.primal[slack_cols].sum()) if slack_cols is not None else 0.0
     return StageResult(
         cost_h=h,
         dual_vertex=pi,
         trajectories=template.var_map.original_primal(sol.primal),
-        slack_activation=slack,
         iterations=sol.iterations,
     )
 

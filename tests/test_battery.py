@@ -220,8 +220,8 @@ def test_do_nothing_under_zero_prices():
     d = realization(4, price=0.0, fr_price=0.0, load=loads, alpha=0.3)
     res = solve_stage(tpl, np.array([100.0, 80.0]), d)
     assert res.cost_h == pytest.approx(0.0, abs=1e-9)
-    assert res.slack_activation == pytest.approx(0.0, abs=1e-9)
     traj = decode_trajectory(res, tpl)
+    assert traj.peak_slack.sum() == pytest.approx(0.0, abs=1e-9)
     assert traj.E[0] == pytest.approx(100.0, abs=1e-9)
     assert traj.E[-1] == pytest.approx(100.0, abs=1e-9)
 
@@ -248,8 +248,9 @@ def test_elastic_slack_absorbs_undersized_peak():
     loads = np.array([300.0, 300.0, 300.0])  # load alone exceeds eta + battery power
     d = realization(2, price=0.0, fr_price=0.0, load=loads, alpha=0.0)
     res = solve_stage(tpl, np.array([100.0, 50.0]), d)
-    assert res.slack_activation > 0
-    assert res.cost_h == pytest.approx(params.elastic_penalty_M * res.slack_activation, rel=1e-9)
+    slack = decode_trajectory(res, tpl).peak_slack.sum()
+    assert slack > 0
+    assert res.cost_h == pytest.approx(params.elastic_penalty_M * slack, rel=1e-9)
 
 
 def test_price_homogeneity():

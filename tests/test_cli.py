@@ -196,6 +196,46 @@ def test_oracle_refuses_horizon(workdir, tmp_path):
     assert exc.value.code == 2
 
 
+def test_oracle_has_no_cap_option(workdir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--config", str(workdir / "small.conf"),
+              "--out", str(tmp_path / "x"), "--periods", "3", "--cap", "5"])
+    assert exc.value.code == 2
+
+
+def test_params_for_another_period_length_exit_one(workdir, tmp_path, capsys):
+    # the pool's days have 2 steps, these params 3
+    assert main(["gen-data", "--out", str(workdir / "three"), "--steps", "3",
+                 "--scenarios", "3", "--seed", "5"]) == 0
+    conf = workdir / "mixed.conf"
+    conf.write_text("pool_file = pool.json\nparams_file = three/battery.kv\nhorizon = 2\n")
+    for command in ("run", "oracle"):
+        assert main([command, "--config", str(conf), "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert "period_length_n = 3" in err and "2 steps" in err
+
+
+def test_every_hmpc_error_is_a_user_error():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import hmpc
+    from hmpc.cli import USER_ERRORS
+
+    errors = [
+        cls
+        for info in pkgutil.iter_modules(hmpc.__path__)
+        for _, cls in inspect.getmembers(importlib.import_module(f"hmpc.{info.name}"),
+                                         inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == f"hmpc.{info.name}"
+    ]
+    assert {"SchemaError", "OracleCapExceeded", "MasterInfeasible", "NumericalBreakdown"} <= {
+        cls.__name__ for cls in errors
+    }
+    assert [cls.__name__ for cls in errors if not issubclass(cls, USER_ERRORS)] == []
+
+
 def test_zero_audit_stride_exits_one(workdir, tmp_path, capsys):
     conf = workdir / "stride.conf"
     conf.write_text("pool_file = pool.json\nparams_file = battery.kv\nhorizon = 3\n"

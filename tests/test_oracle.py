@@ -56,7 +56,7 @@ def test_duplicated_history_collapses_to_one_block():
     d = TinyData(cost=(2.0, 1.0, 2.0))
     w_one, v_one = solve_saa(template, [d], TOY_BOX, TOY_CW)
     # 41 raw periods of one class must clear a cap of 40 distinct blocks
-    w_many, v_many = solve_saa(template, [d] * 41, TOY_BOX, TOY_CW, cap=40)
+    w_many, v_many = solve_saa(template, [d] * 41, TOY_BOX, TOY_CW)
     assert v_many == pytest.approx(v_one, abs=1e-9)
     np.testing.assert_allclose(w_many, w_one, atol=1e-9)
     # classes come out in first-seen order, each standing for equal-key days
@@ -69,14 +69,14 @@ def test_distinct_block_cap_is_enforced():
     template = toy_template()
     history = [TinyData(cost=(1.0, 2.0 + i / 100, 1.0)) for i in range(41)]
     with pytest.raises(OracleCapExceeded):
-        solve_saa(template, history, TOY_BOX, TOY_CW, cap=40)
+        solve_saa(template, history, TOY_BOX, TOY_CW)
 
 
 def test_nonperiodic_caps_raw_periods():
     params, pool, box, cw = equality_setup()
     template = build_template(params)
     with pytest.raises(OracleCapExceeded):
-        solve_nonperiodic(template, [pool.support[0]] * 41, cw, cap=40)
+        solve_nonperiodic(template, [pool.support[0]] * 41, cw)
 
 
 def test_empty_history_rejected():

@@ -155,8 +155,14 @@ class TestCsv:
         with pytest.raises(SchemaError, match="header"):
             load_csv(p)
 
-    def test_negative_load_rejected_with_line_number(self, tmp_path):
-        rows = ["0,0.1,0.0,50,0.1", "1,0.1,0.0,-3,0.1"]
+    @pytest.mark.parametrize("column, value", [
+        ("energy_price", "-0.1"), ("fr_price", "-1"), ("load", "nan"), ("load", "inf"),
+        ("load", "-3"),
+    ])
+    def test_negative_load_rejected_with_line_number(self, tmp_path, column, value):
+        bad = dict(energy_price="0.1", fr_price="0.0", load="50")
+        bad[column] = value
+        rows = ["0,0.1,0.0,50,0.1", f"1,{bad['energy_price']},{bad['fr_price']},{bad['load']},0.1"]
         with pytest.raises(ValueError, match=":3:"):
             load_csv(self._write(tmp_path, rows))
 
