@@ -38,7 +38,6 @@ from hmpc.controller import (
 )
 from hmpc.cuts import Cut, VertexStore, generate_cut, rescale_cuts, solve_master
 from hmpc.oracle import (
-    OracleCapExceeded,
     reference_cost,
     solve_nonperiodic,
     solve_pool_saa,
@@ -78,7 +77,6 @@ __all__ = [
     "run_simulation",
     "running_cost",
     "step_period",
-    "OracleCapExceeded",
     "reference_cost",
     "solve_nonperiodic",
     "solve_pool_saa",

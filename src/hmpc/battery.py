@@ -76,10 +76,6 @@ _LOAD = "load"
 _TARGETS = ("x0", "D")
 
 
-class InvalidParams(ValueError):
-    """Battery parameters violate their invariants."""
-
-
 @dataclass(frozen=True)
 class BatteryParams:
     """Physical and tariff parameters; units kWh, kW, hours, dollars.
@@ -105,11 +101,11 @@ class BatteryParams:
         for f in fields(self):
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0):
-                raise InvalidParams(f"{f.name} must be finite and nonnegative")
+                raise ValueError(f"{f.name} must be finite and nonnegative")
         if self.period_length_n < 1:
-            raise InvalidParams("period_length_n must be at least 1")
+            raise ValueError("period_length_n must be at least 1")
         if self.fr_reserve_rho > 0 and self.capacity_Ebar <= 0:
-            raise InvalidParams("reserving energy for regulation needs positive capacity")
+            raise ValueError("reserving energy for regulation needs positive capacity")
 
 
 @dataclass(frozen=True)
@@ -299,14 +295,11 @@ def load_params(path) -> BatteryParams:
     doc = read_kv(path)
     unknown = set(doc) - set(PARAM_FIELDS)
     if unknown:
-        raise InvalidParams(f"unknown parameter keys: {sorted(unknown)}")
-    try:
-        kwargs = {
-            key: coerce(key, raw, int if key == "period_length_n" else float)
-            for key, raw in doc.items()
-        }
-    except ValueError as exc:
-        raise InvalidParams(str(exc)) from None
+        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
+    kwargs = {
+        key: coerce(key, raw, int if key == "period_length_n" else float)
+        for key, raw in doc.items()
+    }
     return BatteryParams(**kwargs)
 
 

@@ -111,6 +111,8 @@ def _load_setup(config_path: Path, cfg: dict):
     else:
         days = load_csv(base / cfg["pool_csv"])
         pool = ScenarioPool(support=tuple(days), weights=np.full(len(days), 1 / len(days)))
+    if "params_file" not in cfg:
+        raise ValueError(f"{config_path}: missing key 'params_file'")
     params = load_params(base / cfg["params_file"])
     n_pool = pool.support[0].n_steps
     if params.period_length_n != n_pool:
@@ -128,16 +130,12 @@ def _load_setup(config_path: Path, cfg: dict):
 
 
 def cmd_gen_data(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     pool = synthetic_pool(
         n_steps=args.steps,
         n_scenarios=args.scenarios,
         seed=args.seed,
         base_load=args.base_load,
     )
-    save_pool(pool, out / "pool.json", seed=args.seed)
-
     bl = args.base_load
     params = with_offset(
         BatteryParams(
@@ -151,6 +149,9 @@ def cmd_gen_data(args) -> int:
         ),
         pool,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    save_pool(pool, out / "pool.json", seed=args.seed)
     save_params(params, out / "battery.kv")
 
     if args.csv:
@@ -340,9 +341,13 @@ def cmd_gap(args) -> int:
     cache = StageSolveCache(template)
 
     with open(run_dir / "metrics.csv", newline="") as fh:
-        metrics = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        metrics = list(reader)
     if not metrics:
         raise ValueError(f"{run_dir / 'metrics.csv'}: no rows")
+    for column in ("period", "E0_target", "peak_target", "lower_bound"):
+        if column not in reader.fieldnames:
+            raise ValueError(f"{run_dir / 'metrics.csv'}: missing column {column!r}")
 
     rows = []
     for row in metrics:

@@ -51,18 +51,6 @@ _DEDUP_TOL = 1e-9
 _MASTER_TOL = 1e-9
 
 
-class EmptyStore(ValueError):
-    pass
-
-
-class EmptyCuts(ValueError):
-    pass
-
-
-class MasterInfeasible(LPError):
-    pass
-
-
 @dataclass(frozen=True)
 class Cut:
     """Affine recourse underestimate: alpha + beta'w <= mean stage cost.
@@ -160,7 +148,7 @@ def generate_cut(store: VertexStore, w: np.ndarray, template: StageTemplate) -> 
     nonempty set.
     """
     if not store.counts:
-        raise EmptyStore("no period counted yet")
+        raise ValueError("no period counted yet")
     w_vec = np.asarray(w, dtype=float)
     m = sum(store.counts)
     V = store._V
@@ -189,7 +177,7 @@ def rescale_cuts(alpha: np.ndarray, beta: np.ndarray, m: int) -> tuple[np.ndarra
 def lower_bound_at(alpha: np.ndarray, slopes: np.ndarray, w: np.ndarray) -> float:
     """Envelope value max_j alpha_j + slopes_j'w, with slopes c_w + beta."""
     if not len(alpha):
-        raise EmptyCuts("no cuts to evaluate")
+        raise ValueError("no cuts to evaluate")
     return float((alpha + slopes @ np.asarray(w, dtype=float)).max())
 
 
@@ -212,7 +200,7 @@ def solve_master(
     are the working set to start the next master from.
     """
     if not len(alpha):
-        raise EmptyCuts("master needs at least one cut")
+        raise ValueError("master needs at least one cut")
     n_w = slopes.shape[1]
     lo, hi = target_box[:, 0], target_box[:, 1]
     floor = float((alpha + np.minimum(slopes * lo, slopes * hi).sum(axis=1)).max())
@@ -232,7 +220,7 @@ def solve_master(
             )
         )
         if sol.status is not LPStatus.OPTIMAL:
-            raise MasterInfeasible(f"master LP came back {sol.status.name}")
+            raise LPError(f"master LP came back {sol.status.name}")
         point = vmap.original_primal(sol.primal)
         w_next, theta = point[:n_w].copy(), float(point[n_w])
         values = alpha + slopes @ w_next

@@ -47,25 +47,19 @@ class LPStatus(Enum):
 
 
 class LPError(Exception):
-    """Base class for solver errors."""
-
-
-class DimensionMismatch(LPError):
-    """Problem arrays have inconsistent shapes or non-finite entries."""
+    """A malformed LP (shapes, non-finite data, an infinite lower bound)
+    or a solve that failed; also raised for a master or extensive form
+    that did not come back optimal."""
 
 
 class NumericalBreakdown(LPError):
     """Factorization or pivoting failed beyond retry limits."""
 
 
-class UnboundedVariable(LPError):
-    """canonicalize() requires every variable to have a finite lower bound."""
-
-
 def _as_array(a, name, ndim):
     a = np.asarray(a, dtype=float)
     if a.ndim != ndim:
-        raise DimensionMismatch(f"{name} must be {ndim}-d, got shape {a.shape}")
+        raise LPError(f"{name} must be {ndim}-d, got shape {a.shape}")
     return a
 
 
@@ -82,13 +76,13 @@ class StandardLP:
         A = _as_array(self.eq_matrix, "eq_matrix", 2)
         b = _as_array(self.eq_rhs, "eq_rhs", 1)
         if A.shape != (b.size, c.size):
-            raise DimensionMismatch(
+            raise LPError(
                 f"eq_matrix shape {A.shape} inconsistent with "
                 f"{b.size} rhs entries and {c.size} cost entries"
             )
         for name, arr in (("cost", c), ("eq_matrix", A), ("eq_rhs", b)):
             if not np.all(np.isfinite(arr)):
-                raise DimensionMismatch(f"{name} contains non-finite entries")
+                raise LPError(f"{name} contains non-finite entries")
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "eq_matrix", np.ascontiguousarray(A))
         object.__setattr__(self, "eq_rhs", b)
@@ -407,15 +401,15 @@ class GeneralLP:
         lo = _as_array(self.lower, "lower", 1)
         hi = _as_array(self.upper, "upper", 1)
         if Au.shape != (bu.size, n) or Ae.shape != (be.size, n):
-            raise DimensionMismatch("constraint matrix shapes inconsistent with cost")
+            raise LPError("constraint matrix shapes inconsistent with cost")
         if lo.size != n or hi.size != n:
-            raise DimensionMismatch("bound vectors must match variable count")
+            raise LPError("bound vectors must match variable count")
         if np.any(hi < lo):
-            raise DimensionMismatch("upper bound below lower bound")
+            raise LPError("upper bound below lower bound")
         for name, arr in (("cost", c), ("ub_matrix", Au), ("ub_rhs", bu),
                           ("eq_matrix", Ae), ("eq_rhs", be)):
             if not np.all(np.isfinite(arr)):
-                raise DimensionMismatch(f"{name} contains non-finite entries")
+                raise LPError(f"{name} contains non-finite entries")
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "ub_matrix", Au)
         object.__setattr__(self, "ub_rhs", bu)
@@ -463,7 +457,7 @@ def canonicalize(gen: GeneralLP) -> tuple[StandardLP, VarMap]:
     ``cost @ lower``, recorded as ``VarMap.objective_offset``.
     """
     if not np.all(np.isfinite(gen.lower)):
-        raise UnboundedVariable("all variables need finite lower bounds")
+        raise LPError("all variables need finite lower bounds")
     n = gen.n_vars
     lo = gen.lower
     bound_cols = np.flatnonzero(np.isfinite(gen.upper))

@@ -28,15 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from hmpc.lp import GeneralLP, LPStatus, solve_general
+from hmpc.lp import GeneralLP, LPError, LPStatus, solve_general
 from hmpc.scenarios import ScenarioPool, collapse
 from hmpc.stage import StageSolveCache, StageTemplate, solve_stage
 
 BLOCK_CAP = 40
-
-
-class OracleCapExceeded(ValueError):
-    """The requested extensive form holds more than BLOCK_CAP blocks."""
 
 
 def _solve_extensive(
@@ -62,7 +58,7 @@ def _solve_extensive(
     """
     k = len(days)
     if k > BLOCK_CAP:
-        raise OracleCapExceeded(f"{k} blocks exceed the cap of {BLOCK_CAP}")
+        raise ValueError(f"{k} blocks exceed the cap of {BLOCK_CAP}")
     n_s = shared_T.shape[1]
     rows_b, cols_b = int(keep.sum()), template.n_cols
     n_rows = k * rows_b + (k - 1 if link else 0)
@@ -96,7 +92,7 @@ def _solve_extensive(
         )
     )
     if sol.status is not LPStatus.OPTIMAL:
-        raise RuntimeError(f"extensive form came back {sol.status.name}")
+        raise LPError(f"extensive form came back {sol.status.name}")
     point = vmap.original_primal(sol.primal)
     return point[:n_s].copy(), vmap.original_objective(sol.objective)
 

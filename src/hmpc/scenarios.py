@@ -20,10 +20,6 @@ import numpy as np
 CSV_HEADER = ["hour", "energy_price", "fr_price", "load", "fr_request"]
 
 
-class SchemaError(ValueError):
-    """CSV file does not match the documented period-data schema."""
-
-
 def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -190,17 +186,17 @@ def load_csv(path) -> list:
         try:
             header = next(reader)
         except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
+            raise ValueError(f"{path}: empty file") from None
         if [h.strip() for h in header] != CSV_HEADER:
-            raise SchemaError(f"{path}: header must be {','.join(CSV_HEADER)}, got {','.join(header)}")
+            raise ValueError(f"{path}: header must be {','.join(CSV_HEADER)}, got {','.join(header)}")
         rows = []
         for i, row in enumerate(reader, start=2):
             if len(row) != 5:
-                raise SchemaError(f"{path}:{i}: expected 5 columns, got {len(row)}")
+                raise ValueError(f"{path}:{i}: expected 5 columns, got {len(row)}")
             try:
                 vals = [float(x) for x in row]
             except ValueError as exc:
-                raise SchemaError(f"{path}:{i}: {exc}") from None
+                raise ValueError(f"{path}:{i}: {exc}") from None
             for name, v in zip(CSV_HEADER[1:4], vals[1:4]):
                 if not 0.0 <= v < np.inf:  # also refuses NaN
                     raise ValueError(f"{path}:{i}: {name} {v} must be finite and nonnegative")
@@ -208,15 +204,15 @@ def load_csv(path) -> list:
                 raise ValueError(f"{path}:{i}: fr_request {vals[4]} outside [0, 1]")
             rows.append(vals)
     if not rows:
-        raise SchemaError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
 
     starts = [i for i, r in enumerate(rows) if r[0] == 0.0]
     if not starts or starts[0] != 0:
-        raise SchemaError(f"{path}: first row must have hour 0")
+        raise ValueError(f"{path}: first row must have hour 0")
     starts.append(len(rows))
     lengths = {b - a for a, b in zip(starts, starts[1:])}
     if len(lengths) != 1:
-        raise SchemaError(f"{path}: unequal day lengths {sorted(lengths)}")
+        raise ValueError(f"{path}: unequal day lengths {sorted(lengths)}")
 
     periods = []
     for d, (a, b) in enumerate(zip(starts, starts[1:])):
@@ -246,6 +242,9 @@ def save_pool(pool: ScenarioPool, path, seed: int | None = None) -> None:
 def load_pool(path) -> ScenarioPool:
     with open(path) as fh:
         doc = json.load(fh)
+    for key in ("templates", "weights"):
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
     support = [PeriodRealization.from_dict(t) for t in doc["templates"]]
     return ScenarioPool(support=tuple(support), weights=doc["weights"])
 

@@ -41,14 +41,6 @@ class BrokenInvariant(ValueError):
     precondition of the period loop (see controller.step_period)."""
 
 
-class StageInfeasible(ValueError):
-    """A stage solve found no feasible operation for (w, d)."""
-
-
-class StageUnbounded(ValueError):
-    """A stage solve was unbounded; the model is missing a bound."""
-
-
 @dataclass(frozen=True)
 class StageTemplate:
     """Immutable recipe for building one period's canonical LP.
@@ -123,21 +115,21 @@ def dual_excess(V: np.ndarray, W: np.ndarray, c: np.ndarray) -> np.ndarray:
 def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
     """Solve the stage LP; returns cost, dual vertex and trajectories.
 
-    Raises StageInfeasible / StageUnbounded instead of returning a status,
-    since a healthy template (elastic peak rows, boxed state) always
-    admits a bounded optimum.  Raises BrokenInvariant unless the dual pi
-    passes ``dual_excess`` and |pi'(r - Tw) - h| <= 1e-9 (1 + |h|) plus
-    _ROUND_TOL |pi|'|r - Tw|.
+    Raises ValueError on an infeasible or unbounded stage instead of
+    returning a status, since a healthy template (elastic peak rows, boxed
+    state) always admits a bounded optimum.  Raises BrokenInvariant unless
+    the dual pi passes ``dual_excess`` and |pi'(r - Tw) - h| <= 1e-9
+    (1 + |h|) plus _ROUND_TOL |pi|'|r - Tw|.
     """
     lp = build_stage(template, w, d)
     sol = solve_lp(lp)
     if sol.status is LPStatus.INFEASIBLE:
-        raise StageInfeasible(
+        raise ValueError(
             "stage problem infeasible at the given targets; "
             "enable the elastic peak slack or widen the target box"
         )
     if sol.status is LPStatus.UNBOUNDED:
-        raise StageUnbounded("stage problem unbounded; check price signs and bounds")
+        raise ValueError("stage problem unbounded; check price signs and bounds")
     h, pi, b = float(sol.objective), sol.dual, lp.eq_rhs
     excess = float(dual_excess(pi[None], lp.eq_matrix, lp.cost)[0])
     if not excess <= 0:

@@ -216,6 +216,7 @@ def test_params_for_another_period_length_exit_one(workdir, tmp_path, capsys):
 
 
 def test_every_hmpc_error_is_a_user_error():
+    import ast
     import importlib
     import inspect
     import pkgutil
@@ -223,17 +224,88 @@ def test_every_hmpc_error_is_a_user_error():
     import hmpc
     from hmpc.cli import USER_ERRORS
 
+    modules = [importlib.import_module(f"hmpc.{info.name}")
+               for info in pkgutil.iter_modules(hmpc.__path__)]
     errors = [
         cls
-        for info in pkgutil.iter_modules(hmpc.__path__)
-        for _, cls in inspect.getmembers(importlib.import_module(f"hmpc.{info.name}"),
-                                         inspect.isclass)
-        if issubclass(cls, BaseException) and cls.__module__ == f"hmpc.{info.name}"
+        for module in modules
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == module.__name__
     ]
-    assert {"SchemaError", "OracleCapExceeded", "MasterInfeasible", "NumericalBreakdown"} <= {
-        cls.__name__ for cls in errors
-    }
+    assert {cls.__name__ for cls in errors} == {"LPError", "NumericalBreakdown", "BrokenInvariant"}
     assert [cls.__name__ for cls in errors if not issubclass(cls, USER_ERRORS)] == []
+
+    # Every raise statement, resolved in its module, is one main catches.
+    escapes = []
+    for module in modules:
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = eval(ast.unparse(exc), vars(module))
+            if not (isinstance(cls, type) and issubclass(cls, USER_ERRORS)):
+                escapes.append(f"{module.__name__}:{node.lineno}: {ast.unparse(exc)}")
+    assert escapes == []
+
+
+def test_a_non_optimal_extensive_form_exits_one(workdir, tmp_path, monkeypatch, capsys):
+    from hmpc.lp import LPSolution, LPStatus
+
+    monkeypatch.setattr("hmpc.oracle.solve_general",
+                        lambda lp: (LPSolution(LPStatus.INFEASIBLE), None))
+    rc = main(["oracle", "--config", str(workdir / "small.conf"),
+               "--out", str(tmp_path / "x"), "--periods", "3"])
+    assert rc == 1
+    assert "error: extensive form came back INFEASIBLE" in capsys.readouterr().err
+
+
+def _drop_params_file(data, run_dir):
+    (data / "small.conf").write_text("pool_file = pool.json\nhorizon = 2\n")
+    return ["run", "--config", str(data / "small.conf"), "--out", str(run_dir)]
+
+
+def _drop_pool_key(key):
+    def drop(data, run_dir):
+        doc = json.loads((data / "pool.json").read_text())
+        del doc[key]
+        (data / "pool.json").write_text(json.dumps(doc))
+        return ["run", "--config", str(data / "small.conf"), "--out", str(run_dir)]
+    return drop
+
+
+def _drop_metrics_column(data, run_dir):
+    assert main(["run", "--config", str(data / "small.conf"), "--out", str(run_dir)]) == 0
+    rows = read_rows(run_dir / "metrics.csv")
+    with open(run_dir / "metrics.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, [k for k in rows[0] if k != "E0_target"],
+                                extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return ["gap", "--run-dir", str(run_dir)]
+
+
+@pytest.mark.parametrize("breaks, file, message", [
+    (_drop_params_file, "small.conf", "missing key 'params_file'"),
+    (_drop_pool_key("templates"), "pool.json", "missing key 'templates'"),
+    (_drop_pool_key("weights"), "pool.json", "missing key 'weights'"),
+    (_drop_metrics_column, "metrics.csv", "missing column 'E0_target'"),
+], ids=["params_file", "templates", "weights", "E0_target"])
+def test_a_missing_key_exits_one_naming_it_and_its_file(
+    workdir, tmp_path, capsys, breaks, file, message
+):
+    argv = breaks(workdir, tmp_path / "run")
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and file in err and message in err
+
+
+def test_gen_data_that_refuses_its_parameters_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["gen-data", "--out", str(out), "--base-load", "0"]) == 1
+    assert ("error: reserving energy for regulation needs positive capacity"
+            in capsys.readouterr().err)
+    assert not (out / "pool.json").exists()
 
 
 def test_zero_audit_stride_exits_one(workdir, tmp_path, capsys):
@@ -316,10 +388,10 @@ def test_a_number_that_does_not_coerce_exits_one_naming_its_key(
 
 
 def test_params_that_do_not_coerce_are_invalid_params(workdir):
-    from hmpc.battery import InvalidParams, load_params
+    from hmpc.battery import load_params
 
     _set(workdir / "battery.kv", "period_length_n", "6.5")
-    with pytest.raises(InvalidParams, match="period_length_n must be an integer"):
+    with pytest.raises(ValueError, match="period_length_n must be an integer"):
         load_params(workdir / "battery.kv")
 
 

@@ -6,8 +6,6 @@ from toys import TinyData, T_TOY, W_TOY, toy_template
 
 from hmpc.cuts import (
     Cut,
-    EmptyCuts,
-    EmptyStore,
     VertexStore,
     generate_cut,
     lower_bound_at,
@@ -123,7 +121,7 @@ def test_infeasible_vertices_are_filtered():
 
 def test_generate_cut_needs_a_counted_period():
     tpl = toy_template()
-    with pytest.raises(EmptyStore, match="no period"):
+    with pytest.raises(ValueError, match="no period counted yet"):
         generate_cut(VertexStore(n_rows=tpl.n_rows), np.array([1.0, 0.5]), tpl)
 
 
@@ -329,9 +327,9 @@ def test_lower_bound_at_basics():
     )
     c2 = Cut(alpha=5.0, beta=np.array([0.0, 0.0]), birth_period=2)
     assert lower_bound_at(*stacked([c1, c2]), w) >= c2.alpha + float((CW + c2.beta) @ w)
-    with pytest.raises(EmptyCuts):
+    with pytest.raises(ValueError, match="no cuts to evaluate"):
         lower_bound_at(*stacked([]), w)
-    with pytest.raises(EmptyCuts):
+    with pytest.raises(ValueError, match="master needs at least one cut"):
         solve_master(*stacked([]), BOX)
 
 

@@ -11,12 +11,11 @@ from scipy.optimize import linprog
 from bruteforce import solve_by_enumeration
 from fixtures import full_day_setup, settle_setup
 from hmpc.lp import (
-    DimensionMismatch,
     GeneralLP,
+    LPError,
     LPStatus,
     NumericalBreakdown,
     StandardLP,
-    UnboundedVariable,
     _Factor,
     _phase_one,
     _run_simplex,
@@ -120,13 +119,13 @@ def test_lp_without_columns(b, status):
 
 
 def test_shape_validation():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LPError, match=r"eq_matrix shape \(1, 2\) inconsistent"):
         StandardLP(
             cost=np.array([1.0]),
             eq_matrix=np.array([[1.0, 2.0]]),
             eq_rhs=np.array([1.0]),
         )
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LPError, match="cost contains non-finite entries"):
         StandardLP(
             cost=np.array([np.nan]),
             eq_matrix=np.array([[1.0]]),
@@ -202,7 +201,7 @@ def test_canonicalize_requires_finite_lower_bounds():
         lower=np.array([-np.inf]),
         upper=np.array([1.0]),
     )
-    with pytest.raises(UnboundedVariable):
+    with pytest.raises(LPError, match="all variables need finite lower bounds"):
         canonicalize(gen)
 
 
@@ -337,7 +336,7 @@ def mixed_sign_lps(draw):
     one column scaled by up to 1e6.  The absolute tolerances misjudge a
     few of these too: about one run of the test in 12 to 24 draws such an
     LP (the strict xfail above pins one with a 5e6 column), and more once
-    the scale passes 1e6; see ROADMAP item 10."""
+    the scale passes 1e6; see ROADMAP item 11."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
     small = st.integers(-5, 5).map(float)

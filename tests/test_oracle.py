@@ -18,7 +18,6 @@ from toys import TinyData, toy_template
 from hmpc.battery import build_template
 from hmpc.lp import canonicalize, solve_general
 from hmpc.oracle import (
-    OracleCapExceeded,
     reference_cost,
     solve_nonperiodic,
     solve_pool_saa,
@@ -68,14 +67,14 @@ def test_duplicated_history_collapses_to_one_block():
 def test_distinct_block_cap_is_enforced():
     template = toy_template()
     history = [TinyData(cost=(1.0, 2.0 + i / 100, 1.0)) for i in range(41)]
-    with pytest.raises(OracleCapExceeded):
+    with pytest.raises(ValueError, match="41 blocks exceed the cap of 40"):
         solve_saa(template, history, TOY_BOX, TOY_CW)
 
 
 def test_nonperiodic_caps_raw_periods():
     params, pool, box, cw = equality_setup()
     template = build_template(params)
-    with pytest.raises(OracleCapExceeded):
+    with pytest.raises(ValueError, match="41 blocks exceed the cap of 40"):
         solve_nonperiodic(template, [pool.support[0]] * 41, cw)
 
 

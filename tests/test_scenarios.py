@@ -5,7 +5,6 @@ from hmpc.scenarios import (
     ForecastModel,
     PeriodRealization,
     ScenarioPool,
-    SchemaError,
     load_csv,
     load_pool,
     sample_period,
@@ -142,17 +141,17 @@ class TestCsv:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValueError, match="empty file"):
             load_csv(p)
 
     def test_header_only(self, tmp_path):
-        with pytest.raises(SchemaError, match="no data rows"):
+        with pytest.raises(ValueError, match="no data rows"):
             load_csv(self._write(tmp_path, []))
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("hour,price,load\n0,1,2\n")
-        with pytest.raises(SchemaError, match="header"):
+        with pytest.raises(ValueError, match="header must be"):
             load_csv(p)
 
     @pytest.mark.parametrize("column, value", [
@@ -173,12 +172,12 @@ class TestCsv:
 
     def test_unequal_days(self, tmp_path):
         rows = ["0,0.1,0,50,0.1", "1,0.1,0,50,0.1", "0,0.1,0,50,0.1"]
-        with pytest.raises(SchemaError, match="unequal"):
+        with pytest.raises(ValueError, match="unequal day lengths"):
             load_csv(self._write(tmp_path, rows))
 
     def test_wrong_column_count(self, tmp_path):
         rows = ["0,0.1,0.0,50"]
-        with pytest.raises(SchemaError, match="5 columns"):
+        with pytest.raises(ValueError, match="expected 5 columns"):
             load_csv(self._write(tmp_path, rows))
 
 
