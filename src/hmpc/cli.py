@@ -349,11 +349,20 @@ def cmd_gap(args) -> int:
         if column not in reader.fieldnames:
             raise ValueError(f"{run_dir / 'metrics.csv'}: missing column {column!r}")
 
+    def number(row, column):
+        try:
+            return float(row[column])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{run_dir / 'metrics.csv'}: period {row['period']}: "
+                f"{column} is {row[column]!r}, not a number"
+            ) from None
+
     rows = []
     for row in metrics:
-        w = np.array([float(row["E0_target"]), float(row["peak_target"])])
+        w = np.array([number(row, "E0_target"), number(row, "peak_target")])
         ref = reference_cost(template, pool, cw, w, cache=cache)
-        lb = float(row["lower_bound"])
+        lb = number(row, "lower_bound")
         epsbar = (ref - lb) / ref if ref != 0 else 0.0
         rows.append(
             [row["period"], _fmt(w[0]), _fmt(w[1]), _fmt(lb), _fmt(ref), _fmt(epsbar)]

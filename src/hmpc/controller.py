@@ -9,7 +9,11 @@ boundary, and the retroactive layer then
 2. rescales the standing cuts by (m-1)/m and adds one cut built from
    every class of the table at w_m,
 3. prices the targets: running cost phi_m(w_m) by one stage solve per
-   class (memoized by targets), lower bound from the cut envelope,
+   class, lower bound from the cut envelope.  Only the rhs of a class's
+   stage LP moves with the targets, so each audit solve restarts from the
+   class's last optimal basis (StageSolveCache); its answer feeds phi_m
+   alone, and the period solves of step 1 stay cold, so audits never move
+   the cut stream,
 4. minimizes the envelope over the target box, which yields w_{m+1};
    the master LP starts from the cuts binding at the last optimum plus
    the new cut and adds only the cuts its candidate violates.
@@ -144,7 +148,7 @@ def running_cost(state: HierarchyState, w: np.ndarray) -> float:
         raise ValueError("no completed periods yet")
     total = 0.0
     for d, count in zip(store.days, store.counts):
-        total += count * state.cache.solve(w, d).cost_h
+        total += count * state.cache.solve(w, d, warm=True).cost_h
     return float(state.design_cost @ w) + total / m
 
 

@@ -12,8 +12,11 @@ negative, then dual pivots while a basic variable is negative, as when
 phase 1 leaves one slightly below zero.  Phase 1 runs it on the caller's
 matrix: an artificial exists only as a basis entry past its columns,
 standing for a unit column with the sign of its row's rhs, so the input
-is never rewritten or copied.  The optimal basis doubles as a dual vertex
-certificate: the returned ``dual`` vector satisfies
+is never rewritten or copied.  A caller may instead hand ``solve_lp`` a
+starting basis, such as the optimal basis of the same matrix and costs
+under another rhs: the loop starts from it, with no phase 1, when it is
+nonsingular and primal or dual feasible.  The optimal basis doubles as a
+dual vertex certificate: the returned ``dual`` vector satisfies
 ``eq_matrix.T @ dual <= cost`` and ``dual @ eq_rhs == objective`` at
 optimality, which downstream cut generation relies on.
 
@@ -104,6 +107,7 @@ class LPSolution:
     dual: np.ndarray | None = None
     iterations: int = 0
     dropped_rows: tuple[int, ...] = ()
+    basis: np.ndarray | None = None
 
 
 class _Factor:
@@ -216,17 +220,18 @@ def _leaving_row(u, x_b, basis, bland):
     return int(cand_rows[np.argmax(u[cand_rows])])
 
 
-def _run_simplex(A, b, c, basis, max_iter, start_iter=0):
+def _run_simplex(A, b, c, basis, max_iter, start_iter=0, fact=None):
     """The one pivot loop: primal pivots while a reduced cost is negative;
     once none is, on a fresh factorization, dual pivots while a basic
     variable is below -_SKIP_TOL (the most negative leaves, the dual ratio
     test picks the lowest entering column; a row without one ends the
     loop).  So `basis` may be primal or dual feasible.  Entries of `c` past
     A's columns cost phase 1's artificials: one that leaves never
-    re-enters.  Returns (status, factor, x_basic, iterations) and updates
-    `basis` in place."""
+    re-enters.  `fact`, when given, is a fresh factor of `basis`.  Returns
+    (status, factor, x_basic, iterations) and updates `basis` in place."""
     n = A.shape[1]
-    fact = _Factor(A, basis, b)
+    if fact is None:
+        fact = _Factor(A, basis, b)
     x_b = fact.ftran(b)
     tol_vec = _OPT_TOL * (1.0 + np.abs(c))
     reduced = np.zeros(c.size)  # stays 0 past A's columns: no artificial re-enters
@@ -338,34 +343,69 @@ def _phase_one(A, b, max_iter):
     return basis[basis < n], tuple(sorted(dropped)), iterations
 
 
-def solve_lp(lp: StandardLP) -> LPSolution:
+def _warm_start(A, b, c, start, max_iter):
+    """Run the loop from `start`, a basis of A's columns; None unless the
+    start is nonsingular and primal or dual feasible and the loop ends on
+    a primal feasible basis."""
+    m, n = A.shape
+    basis = np.array(start, dtype=int)
+    if (basis.shape != (m,) or m == 0 or basis.min() < 0 or basis.max() >= n
+            or np.unique(basis).size < m):
+        return None
+    try:
+        fact = _Factor(A, basis, b)
+    except NumericalBreakdown:
+        return None
+    if fact.ftran(b).min() < -_SKIP_TOL:
+        reduced = c - A.T @ fact.btran(c[basis])
+        reduced[basis] = 0.0
+        if (reduced < -_OPT_TOL * (1.0 + np.abs(c))).any():
+            return None
+    status, fact, x_b, iterations = _run_simplex(A, b, c, basis, max_iter, fact=fact)
+    if x_b.min() < -_SKIP_TOL:
+        return None
+    return status, fact, x_b, iterations, basis
+
+
+def solve_lp(lp: StandardLP, start: np.ndarray | None = None) -> LPSolution:
     """Solve a StandardLP.
 
     Returns an LPSolution whose ``status`` is OPTIMAL, INFEASIBLE or
-    UNBOUNDED.  On OPTIMAL, ``primal``, ``objective`` and ``dual`` are
-    set; ``dual`` has one entry per row of ``lp``, in its row signs, and
-    zero for rows that phase 1 found linearly dependent and dropped
-    (listed in ``dropped_rows``).  The arrays of ``lp`` are never written.
+    UNBOUNDED.  On OPTIMAL, ``primal``, ``objective``, ``dual`` and
+    ``basis`` are set; ``dual`` has one entry per row of ``lp``, in its
+    row signs, and zero for rows that phase 1 found linearly dependent and
+    dropped (listed in ``dropped_rows``; ``basis`` is then None).
+    ``start``, one column index per row, is a basis to begin from, such as
+    the ``basis`` of an earlier solve with the same matrix and costs.  It
+    is used when it is nonsingular and primal or dual feasible; any other
+    start, or one from which the loop ends primal infeasible, runs the
+    two-phase solve as if none were given.  The arrays of ``lp`` and
+    ``start`` are never written.
     """
     A, b, c = lp.eq_matrix, lp.eq_rhs, lp.cost
     m, n = A.shape
     max_iter = 2000 + 40 * (m + n)
-    basis, dropped, iterations = _phase_one(A, b, max_iter)
-    if basis is None:
-        return LPSolution(LPStatus.INFEASIBLE, iterations=iterations)
-    keep = np.ones(m, dtype=bool)
-    keep[list(dropped)] = False
-    if dropped:
-        A, b = A[keep], b[keep]
-    if basis.size == 0:
-        # No rows left: optimum 0 at y = 0 unless some cost is negative.
-        if (c < -_OPT_TOL * (1 + np.abs(c))).any():
-            return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
-        return LPSolution(
-            LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(m), iterations, dropped
-        )
-
-    status, fact, x_b, iterations = _run_simplex(A, b, c, basis, max_iter, iterations)
+    warm = None if start is None else _warm_start(A, b, c, start, max_iter)
+    if warm is not None:
+        status, fact, x_b, iterations, basis = warm
+        keep, dropped = slice(None), ()
+    else:
+        basis, dropped, iterations = _phase_one(A, b, max_iter)
+        if basis is None:
+            return LPSolution(LPStatus.INFEASIBLE, iterations=iterations)
+        keep = np.ones(m, dtype=bool)
+        keep[list(dropped)] = False
+        if dropped:
+            A, b = A[keep], b[keep]
+        if basis.size == 0:
+            # No rows left: optimum 0 at y = 0 unless some cost is negative.
+            if (c < -_OPT_TOL * (1 + np.abs(c))).any():
+                return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
+            return LPSolution(
+                LPStatus.OPTIMAL, np.zeros(n), 0.0, np.zeros(m), iterations, dropped,
+                None if dropped else basis,
+            )
+        status, fact, x_b, iterations = _run_simplex(A, b, c, basis, max_iter, iterations)
     if status is LPStatus.UNBOUNDED:
         return LPSolution(LPStatus.UNBOUNDED, iterations=iterations)
     primal = np.zeros(n)
@@ -373,7 +413,8 @@ def solve_lp(lp: StandardLP) -> LPSolution:
     dual = np.zeros(m)
     dual[keep] = fact.btran(c[basis])
     return LPSolution(
-        LPStatus.OPTIMAL, primal, float(c @ primal), dual, iterations, dropped
+        LPStatus.OPTIMAL, primal, float(c @ primal), dual, iterations, dropped,
+        None if dropped else basis,
     )
 
 

@@ -172,11 +172,15 @@ def reference_cost(
     """Exact expected period cost phi(w) = c_w'w + E[h(w, D)].
 
     Finite support makes the expectation a weighted sum of K stage
-    solves; pass a StageSolveCache to amortize repeated targets.
+    solves; pass a StageSolveCache to amortize repeated targets and start
+    each solve from its class's last optimal basis.
     """
     w_vec = np.asarray(w, dtype=float)
     total = float(np.asarray(design_cost) @ w_vec)
     for d, wt in zip(pool.support, pool.weights):
-        res = cache.solve(w_vec, d) if cache is not None else solve_stage(template, w_vec, d)
+        if cache is not None:
+            res = cache.solve(w_vec, d, warm=True)
+        else:
+            res = solve_stage(template, w_vec, d)
         total += float(wt) * res.cost_h
     return total

@@ -245,7 +245,12 @@ def load_pool(path) -> ScenarioPool:
     for key in ("templates", "weights"):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
-    support = [PeriodRealization.from_dict(t) for t in doc["templates"]]
+    support = []
+    for i, t in enumerate(doc["templates"]):
+        for key in ("energy_price", "fr_price", "load", "fr_request"):
+            if key not in t:
+                raise ValueError(f"{path}: template {i}: missing key {key!r}")
+        support.append(PeriodRealization.from_dict(t))
     return ScenarioPool(support=tuple(support), weights=doc["weights"])
 
 

@@ -89,6 +89,7 @@ class StageResult:
     dual_vertex: np.ndarray
     trajectories: np.ndarray
     iterations: int = 0
+    basis: np.ndarray | None = None
 
 
 def build_stage(template: StageTemplate, w: np.ndarray, d) -> StandardLP:
@@ -112,8 +113,10 @@ def dual_excess(V: np.ndarray, W: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (V @ W - bound).max(axis=1) - _ROUND_TOL * np.abs(V).max(axis=1)
 
 
-def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
-    """Solve the stage LP; returns cost, dual vertex and trajectories.
+def solve_stage(template: StageTemplate, w: np.ndarray, d, start=None) -> StageResult:
+    """Solve the stage LP; returns cost, dual vertex, trajectories and the
+    optimal basis.  ``start`` is handed to ``solve_lp``: an earlier optimal
+    basis of the same class makes the solve a short run of dual pivots.
 
     Raises ValueError on an infeasible or unbounded stage instead of
     returning a status, since a healthy template (elastic peak rows, boxed
@@ -122,7 +125,7 @@ def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
     (1 + |h|) plus _ROUND_TOL |pi|'|r - Tw|.
     """
     lp = build_stage(template, w, d)
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, start=start)
     if sol.status is LPStatus.INFEASIBLE:
         raise ValueError(
             "stage problem infeasible at the given targets; "
@@ -145,16 +148,27 @@ def solve_stage(template: StageTemplate, w: np.ndarray, d) -> StageResult:
         dual_vertex=pi,
         trajectories=template.var_map.original_primal(sol.primal),
         iterations=sol.iterations,
+        basis=sol.basis,
     )
 
 
 class StageSolveCache:
-    """Memoizes solve_stage by (realization key, target bytes).
+    """Memoizes solve_stage by (realization key, target bytes), and keeps
+    each class's last optimal basis.
 
     Retroactive cost audits re-solve every past period at the current
     targets; histories drawn from a finite pool repeat realizations, so
-    identical (w, d) solves are answered once.  Correct because
-    solve_stage is deterministic and pure.
+    identical (w, d) solves are answered once.  ``solve(w, d)`` is cold,
+    so a period's dual vertex, and with it the cut stream, does not depend
+    on which solves came before.  ``solve(w, d, warm=True)`` is for callers
+    that read only the cost (the running-cost audit and reference_cost):
+    it also reads its own earlier answers, and otherwise starts from the
+    class's last optimal basis.  Between two solves of a class only the
+    rhs r(d) - Tw moves, so that basis is still dual feasible and a few
+    dual pivots replace the two-phase solve.  A warm answer can be another
+    optimal vertex than the cold one, with a cost that differs in its last
+    bits, so warm answers are kept apart from the entries that cold
+    solves read.
     """
 
     def __init__(self, template: StageTemplate):
@@ -162,16 +176,23 @@ class StageSolveCache:
         self._hits = 0
         self._misses = 0
         self._store: dict = {}
+        self._warm: dict = {}
+        self._bases: dict = {}
 
-    def solve(self, w: np.ndarray, d) -> StageResult:
+    def solve(self, w: np.ndarray, d, warm: bool = False) -> StageResult:
         w_vec = np.asarray(w, dtype=float)
         key = (d.key, w_vec.tobytes())
         found = self._store.get(key)
+        if found is None and warm:
+            found = self._warm.get(key)
         if found is not None:
             self._hits += 1
             return found
-        res = solve_stage(self.template, w_vec, d)
-        self._store[key] = res
+        start = self._bases.get(d.key) if warm else None
+        res = solve_stage(self.template, w_vec, d, start=start)
+        (self._store if start is None else self._warm)[key] = res
+        if res.basis is not None:
+            self._bases[d.key] = res.basis
         self._misses += 1
         return res
 

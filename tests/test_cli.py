@@ -273,6 +273,13 @@ def _drop_pool_key(key):
     return drop
 
 
+def _drop_template_series(data, run_dir):
+    doc = json.loads((data / "pool.json").read_text())
+    del doc["templates"][1]["load"]
+    (data / "pool.json").write_text(json.dumps(doc))
+    return ["run", "--config", str(data / "small.conf"), "--out", str(run_dir)]
+
+
 def _drop_metrics_column(data, run_dir):
     assert main(["run", "--config", str(data / "small.conf"), "--out", str(run_dir)]) == 0
     rows = read_rows(run_dir / "metrics.csv")
@@ -288,8 +295,9 @@ def _drop_metrics_column(data, run_dir):
     (_drop_params_file, "small.conf", "missing key 'params_file'"),
     (_drop_pool_key("templates"), "pool.json", "missing key 'templates'"),
     (_drop_pool_key("weights"), "pool.json", "missing key 'weights'"),
+    (_drop_template_series, "pool.json", "template 1: missing key 'load'"),
     (_drop_metrics_column, "metrics.csv", "missing column 'E0_target'"),
-], ids=["params_file", "templates", "weights", "E0_target"])
+], ids=["params_file", "templates", "weights", "load", "E0_target"])
 def test_a_missing_key_exits_one_naming_it_and_its_file(
     workdir, tmp_path, capsys, breaks, file, message
 ):
@@ -298,6 +306,21 @@ def test_a_missing_key_exits_one_naming_it_and_its_file(
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and file in err and message in err
+
+
+def test_gap_names_a_metrics_cell_that_is_not_a_number(workdir, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(workdir / "small.conf"), "--out", str(run_dir)]) == 0
+    rows = read_rows(run_dir / "metrics.csv")
+    rows[1]["lower_bound"] = ""
+    with open(run_dir / "metrics.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    capsys.readouterr()
+    assert main(["gap", "--run-dir", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "metrics.csv: period 2: lower_bound is ''" in err
 
 
 def test_gen_data_that_refuses_its_parameters_writes_nothing(tmp_path, capsys):
@@ -402,8 +425,8 @@ def test_a_broken_invariant_exits_one(workdir, tmp_path, monkeypatch, capsys):
 
     solve = hmpc.stage.solve_lp
 
-    def infeasible_dual(lp):
-        sol = solve(lp)
+    def infeasible_dual(lp, start=None):
+        sol = solve(lp, start=start)
         return dataclasses.replace(sol, dual=sol.dual + 1e3)
 
     monkeypatch.setattr(hmpc.stage, "solve_lp", infeasible_dual)

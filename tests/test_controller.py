@@ -187,6 +187,30 @@ def test_audit_stride_skips_running_cost():
             assert rec.overall_gap_epsbar is None
 
 
+def test_audits_never_move_the_cut_stream():
+    """An audit solve restarts from its class's last basis and may land on
+    another optimal vertex than a cold solve.  On this stream the targets
+    repeat exactly, so period solves ask for (w, d) pairs that audits
+    priced before; they must still get the cold answer, bit for bit."""
+    params, pool, box, cw = mini_setup()
+    template = build_template(params)
+    runs = []
+    for audit in (True, False):
+        rng = stream(11)
+        state = initial_state(template, cw, box)
+        records = [step_period(state, sample_period(pool, rng), audit=audit, pool=pool)[1]
+                   for _ in range(40)]
+        runs.append((state, records))
+    (audited, records), (plain, plain_records) = runs
+    assert len({r.targets.tobytes() for r in records}) < len(records)
+    assert records[-1].running_cost is not None and plain_records[-1].running_cost is None
+    for field in ("targets", "targets_next"):
+        np.testing.assert_array_equal([getattr(r, field) for r in records],
+                                      [getattr(r, field) for r in plain_records])
+    for field in ("cut_alpha", "cut_beta", "working_set"):
+        np.testing.assert_array_equal(getattr(audited, field), getattr(plain, field))
+
+
 def test_forecast_error_decays_with_sigma():
     params, pool, box, cw = mini_setup()
     template = build_template(params)
@@ -258,8 +282,8 @@ def test_a_stage_dual_that_fails_its_check_is_refused(monkeypatch, scale, shift,
     before = _snapshot(state)
     solve = hmpc.stage.solve_lp
 
-    def perturbed(lp):
-        sol = solve(lp)
+    def perturbed(lp, start=None):
+        sol = solve(lp, start=start)
         return replace(sol, dual=sol.dual * scale + shift)
 
     monkeypatch.setattr(hmpc.stage, "solve_lp", perturbed)
@@ -280,8 +304,8 @@ def test_an_audit_solve_that_fails_its_check_is_refused(monkeypatch):
     solve = hmpc.stage.solve_lp
     faulted = []
 
-    def perturbed(lp):
-        sol = solve(lp)
+    def perturbed(lp, start=None):
+        sol = solve(lp, start=start)
         if not np.array_equal(lp.cost, first_cost):
             return sol
         faulted.append(lp)
