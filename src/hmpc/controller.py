@@ -9,11 +9,9 @@ boundary, and the retroactive layer then
 2. rescales the standing cuts by (m-1)/m and adds one cut built from
    every class of the table at w_m,
 3. prices the targets: running cost phi_m(w_m) by one stage solve per
-   class, lower bound from the cut envelope.  Only the rhs of a class's
-   stage LP moves with the targets, so each audit solve restarts from the
-   class's last optimal basis (StageSolveCache); its answer feeds phi_m
-   alone, and the period solves of step 1 stay cold, so audits never move
-   the cut stream,
+   class, each warm from the class's last optimal basis (only the rhs
+   moves with the targets; see StageSolveCache), lower bound from the cut
+   envelope.  Step 1's solve stays cold, so the audit never moves the cuts,
 4. minimizes the envelope over the target box, which yields w_{m+1};
    the master LP starts from the cuts binding at the last optimum plus
    the new cut and adds only the cuts its candidate violates.

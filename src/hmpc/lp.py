@@ -344,9 +344,9 @@ def _phase_one(A, b, max_iter):
 
 
 def _warm_start(A, b, c, start, max_iter):
-    """Run the loop from `start`, a basis of A's columns; None unless the
-    start is nonsingular and primal or dual feasible and the loop ends on
-    a primal feasible basis."""
+    """Run the loop from `start`, a basis of A's columns, and return what
+    it returns; None unless the start is nonsingular and primal or dual
+    feasible and the loop ends on a primal feasible basis."""
     m, n = A.shape
     basis = np.array(start, dtype=int)
     if (basis.shape != (m,) or m == 0 or basis.min() < 0 or basis.max() >= n
@@ -364,7 +364,7 @@ def _warm_start(A, b, c, start, max_iter):
     status, fact, x_b, iterations = _run_simplex(A, b, c, basis, max_iter, fact=fact)
     if x_b.min() < -_SKIP_TOL:
         return None
-    return status, fact, x_b, iterations, basis
+    return status, fact, x_b, iterations
 
 
 def solve_lp(lp: StandardLP, start: np.ndarray | None = None) -> LPSolution:
@@ -387,8 +387,8 @@ def solve_lp(lp: StandardLP, start: np.ndarray | None = None) -> LPSolution:
     max_iter = 2000 + 40 * (m + n)
     warm = None if start is None else _warm_start(A, b, c, start, max_iter)
     if warm is not None:
-        status, fact, x_b, iterations, basis = warm
-        keep, dropped = slice(None), ()
+        status, fact, x_b, iterations = warm
+        basis, keep, dropped = fact.basis, slice(None), ()
     else:
         basis, dropped, iterations = _phase_one(A, b, max_iter)
         if basis is None:
