@@ -437,20 +437,19 @@ def test_a_start_from_another_rhs_agrees_with_the_cold_solve_and_highs(pair):
         assert abs(warm.objective - cold.objective) <= 1e-7 * max(1.0, abs(cold.objective))
 
 
-# min -y2  s.t.  y0 + y2 = 1,  y1 - y3 = b1.
-_STARTS_LP = dict(cost=np.array([0.0, 0.0, -1.0, 0.0]),
-                  eq_matrix=np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]))
+# With cost (0, 0, -1, 0): min -y2  s.t.  y0 + y2 = 1,  y1 - y3 = b1.
+_UNIT_PAIR = [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]
 
 
 @pytest.mark.parametrize("A, b, start", [
     # Columns 0 and 1 are equal: the start is singular.
     ([[1.0, 1.0, 0.0, 1.0], [2.0, 2.0, 1.0, 0.0]], [1.0, 1.0], [0, 1]),
     # y0 = 1, y1 = -1 and y2 prices at -1: neither primal nor dual feasible.
-    (_STARTS_LP["eq_matrix"], [1.0, -1.0], [0, 1]),
+    (_UNIT_PAIR, [1.0, -1.0], [0, 1]),
     # Not a basis: too short, repeated, or past A's columns.
-    (_STARTS_LP["eq_matrix"], [1.0, -1.0], [0]),
-    (_STARTS_LP["eq_matrix"], [1.0, -1.0], [2, 2]),
-    (_STARTS_LP["eq_matrix"], [1.0, -1.0], [0, 4]),
+    (_UNIT_PAIR, [1.0, -1.0], [0]),
+    (_UNIT_PAIR, [1.0, -1.0], [2, 2]),
+    (_UNIT_PAIR, [1.0, -1.0], [0, 4]),
 ], ids=["singular", "neither-feasible", "short", "repeated", "out-of-range"])
 def test_an_unusable_start_gives_the_cold_solve_bit_for_bit(A, b, start):
     lp = StandardLP(cost=np.array([0.0, 0.0, -1.0, 0.0]), eq_matrix=np.array(A),
