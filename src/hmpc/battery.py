@@ -60,10 +60,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
-from hmpc.kv import coerce, read_kv, write_kv
+from hmpc.kv import Key, read_keys, write_kv
 from hmpc.lp import GeneralLP, canonicalize
 from hmpc.scenarios import PeriodRealization, ScenarioPool
 from hmpc.stage import StageResult, StageTemplate
@@ -288,19 +289,15 @@ def with_offset(params: BatteryParams, pool: ScenarioPool) -> BatteryParams:
 
 
 PARAM_FIELDS = tuple(f.name for f in fields(BatteryParams))
+# BatteryParams checks the values itself, so no key has a least value here.
+_PARAM_KEYS = {
+    f.name: Key(get_type_hints(BatteryParams)[f.name], f.default) for f in fields(BatteryParams)
+}
 
 
 def load_params(path) -> BatteryParams:
     """Read params from a flat key = value file (keys as in PARAM_FIELDS)."""
-    doc = read_kv(path)
-    unknown = set(doc) - set(PARAM_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
-    kwargs = {
-        key: coerce(key, raw, int if key == "period_length_n" else float)
-        for key, raw in doc.items()
-    }
-    return BatteryParams(**kwargs)
+    return BatteryParams(**read_keys(path, _PARAM_KEYS, "parameter")[1])
 
 
 def save_params(params: BatteryParams, path) -> None:

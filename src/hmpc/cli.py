@@ -34,7 +34,7 @@ from hmpc.battery import (
     with_offset,
 )
 from hmpc.controller import run_simulation
-from hmpc.kv import coerce, read_kv, write_kv
+from hmpc.kv import Key, read_keys, write_kv
 from hmpc.lp import LPError
 from hmpc.oracle import reference_cost, solve_nonperiodic, solve_saa
 from hmpc.scenarios import (
@@ -52,19 +52,21 @@ from hmpc.stage import StageSolveCache
 # Every error hmpc raises is a ValueError or an LPError.
 USER_ERRORS = (ValueError, KeyError, OSError, LPError)
 
+# The run-config keys: kind, default, least value.  The seed's rule
+# (nonnegative) is scenarios.stream's.
 RUN_KEYS = {
-    "pool_file",
-    "pool_csv",
-    "params_file",
-    "horizon",
-    "seed",
-    "sigma",
-    "keep_planned",
-    "audit_full_until",
-    "audit_stride",
-    "track_overall_gap",
-    "w1_state",
-    "w1_peak",
+    "pool_file": Key(str, None),
+    "pool_csv": Key(str, None),
+    "params_file": Key(str),
+    "horizon": Key(int, 100, 1),
+    "seed": Key(int, 0),
+    "sigma": Key(float, 0.0, 0),
+    "keep_planned": Key(int, 7, 0),
+    "audit_full_until": Key(int, 100, 0),
+    "audit_stride": Key(int, 5, 1),
+    "track_overall_gap": Key(bool, True),
+    "w1_state": Key(float, None, 0),
+    "w1_peak": Key(float, None, 0),
 }
 
 METRICS_HEADER = [
@@ -93,26 +95,16 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _parse_bool(text: str) -> bool:
-    table = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-    try:
-        return table[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
-
-
 def _load_setup(config_path: Path, cfg: dict):
-    """Pool, template, box and design cost from a run config."""
+    """Pool, template, box and design cost from a run config's values."""
     base = config_path.parent
-    if ("pool_file" in cfg) == ("pool_csv" in cfg):
+    if (cfg["pool_file"] is None) == (cfg["pool_csv"] is None):
         raise ValueError("config needs exactly one of pool_file or pool_csv")
-    if "pool_file" in cfg:
+    if cfg["pool_file"] is not None:
         pool = load_pool(base / cfg["pool_file"])
     else:
         days = load_csv(base / cfg["pool_csv"])
         pool = ScenarioPool(support=tuple(days), weights=np.full(len(days), 1 / len(days)))
-    if "params_file" not in cfg:
-        raise ValueError(f"{config_path}: missing key 'params_file'")
     params = load_params(base / cfg["params_file"])
     n_pool = pool.support[0].n_steps
     if params.period_length_n != n_pool:
@@ -167,69 +159,44 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _run_config(args) -> tuple[Path, dict]:
+def _run_config(args) -> tuple[Path, dict, dict]:
+    """A run config's path, its text with the flags on top, and its values."""
     config_path = Path(args.config)
-    cfg = read_kv(config_path)
-    unknown = set(cfg) - RUN_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if getattr(args, "horizon", None) is not None:
-        cfg["horizon"] = str(args.horizon)
-    if args.seed is not None:
-        cfg["seed"] = str(args.seed)
-    if getattr(args, "sigma", None) is not None:
-        cfg["sigma"] = str(args.sigma)
-    return config_path, cfg
+    overrides = {key: getattr(args, key, None) for key in ("horizon", "seed", "sigma")}
+    return config_path, *read_keys(config_path, RUN_KEYS, "config", overrides)
 
 
 def cmd_run(args) -> int:
-    config_path, cfg = _run_config(args)
-    pool, template, box, cw = _load_setup(config_path, cfg)
-
-    def number(key, default=None, kind=int):
-        value = coerce(key, cfg.get(key, default), kind)
-        if kind is float and not np.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {cfg[key]!r}")
-        return value
-
-    horizon = number("horizon", 100)
-    seed = number("seed", 0)
-    sigma = number("sigma", 0.0, float)
-    keep_planned = number("keep_planned", 7)
-    audit_full_until = number("audit_full_until", 100)
-    audit_stride = number("audit_stride", 5)
-    track = _parse_bool(cfg.get("track_overall_gap", "true"))
-    if ("w1_state" in cfg) != ("w1_peak" in cfg):
+    config_path, text, cfg = _run_config(args)
+    if (cfg["w1_state"] is None) != (cfg["w1_peak"] is None):
         raise ValueError("w1_state and w1_peak go together")
-    w1 = None
-    if "w1_state" in cfg:
-        w1 = np.array([number("w1_state", kind=float), number("w1_peak", kind=float)])
+    pool, template, box, cw = _load_setup(config_path, cfg)
 
     sim = run_simulation(
         template,
         cw,
         box,
         pool,
-        periods=horizon,
-        seed=seed,
-        forecast_sigma=sigma,
-        w1=w1,
-        audit_full_until=audit_full_until,
-        audit_stride=audit_stride,
-        keep_planned=keep_planned,
-        track_overall_gap=track,
+        periods=cfg["horizon"],
+        seed=cfg["seed"],
+        forecast_sigma=cfg["sigma"],
+        w1=None if cfg["w1_state"] is None else np.array([cfg["w1_state"], cfg["w1_peak"]]),
+        audit_full_until=cfg["audit_full_until"],
+        audit_stride=cfg["audit_stride"],
+        keep_planned=cfg["keep_planned"],
+        track_overall_gap=cfg["track_overall_gap"],
     )
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    resolved = dict(cfg)
+    resolved = dict(text)
     for key in ("pool_file", "pool_csv", "params_file"):
         if key in resolved:
             resolved[key] = str((config_path.parent / resolved[key]).resolve())
-    resolved.setdefault("horizon", str(horizon))
-    resolved.setdefault("seed", str(seed))
-    resolved.setdefault("sigma", _fmt(sigma))
+    resolved.setdefault("horizon", str(cfg["horizon"]))
+    resolved.setdefault("seed", str(cfg["seed"]))
+    resolved.setdefault("sigma", _fmt(cfg["sigma"]))
     write_kv(out / "run.conf", resolved)
 
     _write_csv(
@@ -297,7 +264,7 @@ def cmd_run(args) -> int:
     last = sim.records[-1]
     eps_text = "skipped" if last.current_gap_eps is None else _fmt(last.current_gap_eps)
     print(
-        f"{horizon} periods: targets ({_fmt(last.targets_next[0])}, "
+        f"{cfg['horizon']} periods: targets ({_fmt(last.targets_next[0])}, "
         f"{_fmt(last.targets_next[1])}), final eps {eps_text}"
     )
     print(f"tables under {out}")
@@ -305,10 +272,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config_path, cfg = _run_config(args)
+    config_path, _, cfg = _run_config(args)
     pool, template, box, cw = _load_setup(config_path, cfg)
-    periods = args.periods
-    seed = coerce("seed", cfg.get("seed", 0), int)
+    periods, seed = args.periods, cfg["seed"]
 
     rng = stream(seed)
     history = [sample_period(pool, rng) for _ in range(periods)]
@@ -336,7 +302,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_gap(args) -> int:
     run_dir = Path(args.run_dir)
-    cfg = read_kv(run_dir / "run.conf")
+    _, cfg = read_keys(run_dir / "run.conf", RUN_KEYS, "config")
     pool, template, box, cw = _load_setup(run_dir / "run.conf", cfg)
     cache = StageSolveCache(template)
 

@@ -226,11 +226,6 @@ def step_period(
     return state, record
 
 
-def default_audit_stride(m: int, full_until: int = 100, stride: int = 5) -> bool:
-    """Audit every period early on, then every ``stride``-th period."""
-    return m <= full_until or m % stride == 0
-
-
 @dataclass
 class SimulationResult:
     records: list
@@ -266,7 +261,7 @@ def run_simulation(
         if m <= keep_planned:
             mpc = _solve_in_period(state.cache, m, state.targets_w, model.make_forecast(truth))
             planned.append((m, state.targets_w.copy(), mpc))
-        audit = default_audit_stride(m, audit_full_until, audit_stride)
+        audit = m <= audit_full_until or m % audit_stride == 0
         _, record = step_period(
             state, truth, audit=audit, pool=pool if track_overall_gap else None
         )

@@ -115,6 +115,8 @@ class ScenarioPool:
 
 def stream(seed: int) -> np.random.Generator:
     """Counter-based RNG stream; distinct seeds give independent streams."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

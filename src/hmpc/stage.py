@@ -162,35 +162,32 @@ class StageSolveCache:
     so a period's dual vertex, and with it the cut stream, does not depend
     on which solves came before.  ``solve(w, d, warm=True)`` is for callers
     that read only the cost (the running-cost audit and reference_cost):
-    it also reads its own earlier answers, and otherwise starts from the
-    class's last optimal basis.  Between two solves of a class only the
-    rhs r(d) - Tw moves, so that basis is still dual feasible and a few
-    dual pivots replace the two-phase solve.  A warm answer can be another
+    it reads any earlier answer, and otherwise starts from the class's
+    last optimal basis.  Between two solves of a class only the rhs
+    r(d) - Tw moves, so that basis is still dual feasible and a few dual
+    pivots replace the two-phase solve.  A warm answer can be another
     optimal vertex than the cold one, with a cost that differs in its last
-    bits, so warm answers are kept apart from the entries that cold
-    solves read.
+    bits, so each answer records whether a cold solve made it, and cold
+    solves read only those.
     """
 
     def __init__(self, template: StageTemplate):
         self.template = template
         self._hits = 0
         self._misses = 0
-        self._store: dict = {}
-        self._warm: dict = {}
+        self._answers: dict = {}  # (d.key, w bytes) -> (StageResult, made cold)
         self._bases: dict = {}
 
     def solve(self, w: np.ndarray, d, warm: bool = False) -> StageResult:
         w_vec = np.asarray(w, dtype=float)
         key = (d.key, w_vec.tobytes())
-        found = self._store.get(key)
-        if found is None and warm:
-            found = self._warm.get(key)
-        if found is not None:
+        found, cold = self._answers.get(key, (None, False))
+        if found is not None and (cold or warm):
             self._hits += 1
             return found
         start = self._bases.get(d.key) if warm else None
         res = solve_stage(self.template, w_vec, d, start=start)
-        (self._store if start is None else self._warm)[key] = res
+        self._answers[key] = (res, start is None)
         if res.basis is not None:
             self._bases[d.key] = res.basis
         self._misses += 1

@@ -111,6 +111,16 @@ def test_malformed_config_exits_one(workdir, tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "y")]) == 1
 
 
+def test_gap_refuses_an_unknown_run_conf_key(workdir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(workdir / "small.conf"), "--out", str(out)]) == 0
+    _set(out / "run.conf", "whatever", "3")
+    capsys.readouterr()
+    assert main(["gap", "--run-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: ['whatever']\n"
+    assert not (out / "gap.csv").exists()
+
+
 def test_missing_pool_file_exits_one(workdir, tmp_path, capsys):
     conf = workdir / "missing.conf"
     conf.write_text("pool_file = nope.json\nparams_file = battery.kv\nhorizon = 2\n")
@@ -291,13 +301,21 @@ def _drop_metrics_column(data, run_dir):
     return ["gap", "--run-dir", str(run_dir)]
 
 
+def _drop_params_key(data, run_dir):
+    doc = read_kv(data / "battery.kv")
+    del doc["capacity_Ebar"]
+    write_kv(data / "battery.kv", doc)
+    return ["run", "--config", str(data / "small.conf"), "--out", str(run_dir)]
+
+
 @pytest.mark.parametrize("breaks, file, message", [
     (_drop_params_file, "small.conf", "missing key 'params_file'"),
+    (_drop_params_key, "battery.kv", "missing key 'capacity_Ebar'"),
     (_drop_pool_key("templates"), "pool.json", "missing key 'templates'"),
     (_drop_pool_key("weights"), "pool.json", "missing key 'weights'"),
     (_drop_template_series, "pool.json", "template 1: missing key 'load'"),
     (_drop_metrics_column, "metrics.csv", "missing column 'E0_target'"),
-], ids=["params_file", "templates", "weights", "load", "E0_target"])
+], ids=["params_file", "capacity_Ebar", "templates", "weights", "load", "E0_target"])
 def test_a_missing_key_exits_one_naming_it_and_its_file(
     workdir, tmp_path, capsys, breaks, file, message
 ):
@@ -398,16 +416,35 @@ def test_integer_keys_take_an_integral_float(workdir, tmp_path):
     ("small.conf", "sigma", "nan", "sigma must be finite, got 'nan'"),
     ("small.conf", "sigma", "inf", "sigma must be finite, got 'inf'"),
     ("small.conf", "w1_state", "nan", "w1_state must be finite, got 'nan'"),
+    ("small.conf", "track_overall_gap", "maybe",
+     "track_overall_gap must be a boolean, got 'maybe'"),
+    ("small.conf", "seed", "-1", "seed must be nonnegative, got -1"),
+    ("small.conf", "sigma", "-0.5", "sigma must be nonnegative, got '-0.5'"),
+    ("small.conf", "keep_planned", "-2", "keep_planned must be nonnegative, got '-2'"),
+    ("small.conf", "audit_full_until", "-4", "audit_full_until must be nonnegative, got '-4'"),
+    # A key that starts with -- is a flag of the command in the first column.
+    ("run", "--seed", "-1", "seed must be nonnegative, got -1"),
+    ("oracle", "--seed", "-1", "seed must be nonnegative, got -1"),
+    ("gen-data", "--seed", "-1", "seed must be nonnegative, got -1"),
+    ("run", "--sigma", "-1", "sigma must be nonnegative, got '-1.0'"),
+    ("run", "--horizon", "0", "horizon must be at least 1, got '0'"),
 ])
 def test_a_number_that_does_not_coerce_exits_one_naming_its_key(
     workdir, tmp_path, capsys, file, key, value, message
 ):
-    if key == "w1_state":
-        _set(workdir / file, "w1_peak", "100")
-    _set(workdir / file, key, value)
-    rc = main(["run", "--config", str(workdir / "small.conf"), "--out", str(tmp_path / "x")])
-    assert rc == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    out = tmp_path / "x"
+    if key.startswith("--"):
+        source = [] if file == "gen-data" else ["--config", str(workdir / "small.conf")]
+        argv = [file, *source, "--out", str(out), key, value]
+    else:
+        if key == "w1_state":
+            _set(workdir / file, "w1_peak", "100")
+        _set(workdir / file, key, value)
+        argv = ["run", "--config", str(workdir / "small.conf"), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_params_that_do_not_coerce_are_invalid_params(workdir):
