@@ -7,10 +7,10 @@ Four subcommands cover the whole loop:
 * ``oracle``    extensive-form prices for a sampled history
 * ``gap``       recompute exact gaps for a finished run directory
 
-Run and oracle read a flat ``key = value`` config (relative paths are
-resolved against the config file); ``--horizon``, ``--seed`` and
-``--sigma`` override their config counterparts.  Exit status is 0 on
-success, 1 on data or domain errors, 2 on usage errors.
+Run and oracle read a flat ``key = value`` config by ``RUN_KEYS``
+(relative paths are resolved against the config file); ``--horizon``,
+``--seed`` and ``--sigma`` override their config counterparts.  Exit
+status is 0 on success, 1 on data or domain errors, 2 on usage errors.
 """
 
 from __future__ import annotations
